@@ -52,7 +52,13 @@ def _dump(obj) -> str:
 
 def _record_from_dict(d: dict) -> FunctionRecord:
     fn = d["function"]
+    if not isinstance(fn, dict):
+        raise ValueError(f"record 'function' must be an object, not {type(fn).__name__}")
     pre = fn.get("pre_extracted")
+    if pre is not None and not isinstance(pre, dict):
+        raise ValueError(
+            f"record 'function.pre_extracted' must be an object, not {type(pre).__name__}"
+        )
     return FunctionRecord(
         file_path=fn.get("file_path", ""),
         source_text=fn.get("source_text"),
@@ -70,6 +76,8 @@ def _load_corpus_records(path: Path) -> list[dict]:
         if not line.strip():
             continue
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"line {line_no}: record is not an object")
         record_id = record.get("id")
         if not record_id:
             raise ValueError(f"line {line_no}: record without id")

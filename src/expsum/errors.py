@@ -53,3 +53,7 @@ class MalformedRefinement(ExpSumError):
 
 class ConfigError(ExpSumError):
     """Pipeline configuration, schema, or constraint file is invalid."""
+
+
+class MalformedKnowledgeBase(ExpSumError):
+    """A knowledge base file is not well-formed JSON of the current format."""

@@ -2,9 +2,10 @@
 
 Each entry is a 4-tuple: the term, the documentation it came from, the path
 context (package root) of that documentation, and a sparse TF-IDF vector of
-the documentation. Terms are found lexically (special-form expressions) and
-semantically (words whose synonym substitution would change sentence
-meaning, judged by an LLM).
+the documentation. All entries of one document share that document's text
+and vector object, and the saved file stores each document once. Terms are
+found lexically (special-form expressions) and semantically (words whose
+synonym substitution would change sentence meaning, judged by an LLM).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ClientFailure, EmptyCorpus, IoFailure
+from .errors import ClientFailure, EmptyCorpus, IoFailure, MalformedKnowledgeBase
 
 # Compact standard English stopword list used to pick semantic-extraction
 # candidates.
@@ -108,7 +109,6 @@ class TfIdfModel:
     doc_count: int
     doc_frequency: dict[str, int]
     alpha: float = 0.01
-    log_base: str = "natural"
 
     def idf(self, token: str) -> float:
         return math.log(self.doc_count / (self.doc_frequency[token] + self.alpha))
@@ -116,7 +116,10 @@ class TfIdfModel:
 
 @dataclass
 class KnowledgeEntry:
-    """4-tuple knowledge record: term, documentation, path context, vector."""
+    """4-tuple knowledge record: term, documentation, path context, vector.
+
+    Entries of one document share its text and its vector object; treat
+    both as read-only."""
 
     term: str
     documentation: str
@@ -283,7 +286,8 @@ def build_knowledge_base(
 ) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     """Fit the TF-IDF model and materialize one entry per (term, document).
 
-    A document yielding zero terms contributes no entries but still counts
+    The entries of a document share its text and one vector object. A
+    document yielding zero terms contributes no entries but still counts
     toward the corpus statistics.
     """
     model = fit_tfidf(docs)
@@ -300,7 +304,7 @@ def build_knowledge_base(
                     term=term,
                     documentation=doc.text,
                     path_context=doc.path_context,
-                    vector=SparseVector(dict(vector.entries)),
+                    vector=vector,
                 )
             )
     return model, entries
@@ -308,48 +312,118 @@ def build_knowledge_base(
 
 # -- persistence -------------------------------------------------------------
 
+#: Version of the saved file layout; files of any other version are refused.
+KB_FORMAT = 2
+
 
 def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
+    """Render the knowledge base as format-2 JSON.
+
+    ``docs`` lists each distinct (path context, text, vector) once, in order
+    of first use by an entry; each of ``entries`` names its term and the
+    index of its doc.
+    """
+    docs: list[dict] = []
+    doc_index: dict[tuple, int] = {}
+    refs: list[dict] = []
+    for e in entries:
+        items = tuple(sorted(e.vector.entries.items()))
+        key = (e.path_context, e.documentation, items)
+        index = doc_index.get(key)
+        if index is None:
+            index = doc_index[key] = len(docs)
+            docs.append(
+                {
+                    "path_context": e.path_context,
+                    "text": e.documentation,
+                    "vector": {str(i): w for i, w in items},
+                }
+            )
+        refs.append({"term": e.term, "doc": index})
     payload = {
+        "format": KB_FORMAT,
         "model": {
             "vocabulary": model.vocabulary,
             "doc_count": model.doc_count,
             "doc_frequency": model.doc_frequency,
             "alpha": model.alpha,
-            "log_base": model.log_base,
         },
-        "entries": [
-            {
-                "term": e.term,
-                "documentation": e.documentation,
-                "path_context": e.path_context,
-                "vector": {str(i): w for i, w in sorted(e.vector.entries.items())},
-            }
-            for e in entries
-        ],
+        "docs": docs,
+        "entries": refs,
     }
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _section(obj: dict, key: str, kind: type, where: str):
+    value = obj.get(key)
+    if not isinstance(value, kind):
+        raise MalformedKnowledgeBase(f"{where}{key!r} is missing or not a {kind.__name__}")
+    return value
+
+
 def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    payload = json.loads(text)
-    m = payload["model"]
-    model = TfIdfModel(
-        vocabulary={k: int(v) for k, v in m["vocabulary"].items()},
-        doc_count=int(m["doc_count"]),
-        doc_frequency={k: int(v) for k, v in m["doc_frequency"].items()},
-        alpha=float(m["alpha"]),
-        log_base=m.get("log_base", "natural"),
-    )
-    entries = [
-        KnowledgeEntry(
-            term=e["term"],
-            documentation=e["documentation"],
-            path_context=e["path_context"],
-            vector=SparseVector({int(i): float(w) for i, w in e["vector"].items()}),
+    """Parse format-2 JSON (see :func:`kb_to_json`); the entries of one doc
+    share its text and vector object.
+
+    Raises :class:`MalformedKnowledgeBase` for text that is not a well-formed
+    format-2 knowledge base, files of an older format included.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedKnowledgeBase(f"not valid JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise MalformedKnowledgeBase("not a JSON object")
+    fmt = payload.get("format")
+    if fmt != KB_FORMAT:
+        found = "no format field" if fmt is None else f"format {fmt!r}"
+        raise MalformedKnowledgeBase(
+            f"{found}, expected format {KB_FORMAT}; rebuild it with `expsum kb-build`"
         )
-        for e in payload["entries"]
-    ]
+    m = _section(payload, "model", dict, "")
+    raw_docs = _section(payload, "docs", list, "")
+    raw_entries = _section(payload, "entries", list, "")
+    try:
+        model = TfIdfModel(
+            vocabulary={k: int(v) for k, v in m["vocabulary"].items()},
+            doc_count=int(m["doc_count"]),
+            doc_frequency={k: int(v) for k, v in m["doc_frequency"].items()},
+            alpha=float(m["alpha"]),
+        )
+    except (KeyError, AttributeError, TypeError, ValueError) as e:
+        raise MalformedKnowledgeBase(
+            f"'model' lacks a key or has an ill-typed value ({type(e).__name__}: {e})"
+        ) from None
+    docs: list[tuple[str, str, SparseVector]] = []
+    for n, d in enumerate(raw_docs):
+        where = f"docs[{n}] "
+        if not isinstance(d, dict):
+            raise MalformedKnowledgeBase(f"{where}is not an object")
+        path_context = _section(d, "path_context", str, where)
+        doc_text = _section(d, "text", str, where)
+        try:
+            vector = SparseVector(
+                {int(i): float(w) for i, w in _section(d, "vector", dict, where).items()}
+            )
+        except (TypeError, ValueError) as e:
+            raise MalformedKnowledgeBase(
+                f"{where}vector: ill-typed index or weight: {e}"
+            ) from None
+        docs.append((doc_text, path_context, vector))
+    entries: list[KnowledgeEntry] = []
+    for n, e in enumerate(raw_entries):
+        try:
+            term, index = e["term"], e["doc"]
+        except (TypeError, KeyError):
+            raise MalformedKnowledgeBase(
+                f"entries[{n}] is not an object with 'term' and 'doc'"
+            ) from None
+        if type(term) is not str or type(index) is not int or not 0 <= index < len(docs):
+            raise MalformedKnowledgeBase(
+                f"entries[{n}]: term {term!r} or doc index {index!r} is invalid "
+                f"({len(docs)} docs)"
+            )
+        entries.append(KnowledgeEntry(term, *docs[index]))
     return model, entries
 
 
@@ -362,6 +436,9 @@ def save_knowledge_base(
 def load_knowledge_base(path: str | Path) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise IoFailure(f"cannot read knowledge base {path}: {e}") from e
-    return kb_from_json(text)
+    try:
+        return kb_from_json(text)
+    except MalformedKnowledgeBase as e:
+        raise MalformedKnowledgeBase(f"knowledge base {path}: {e}") from None

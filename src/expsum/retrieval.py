@@ -8,6 +8,7 @@ lexically nested inside longer surviving terms.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -131,12 +132,21 @@ def path_overlap(query_path: str, entry_path: str) -> float:
 def stage1_filter(
     query: QueryText, entries: list[KnowledgeEntry], cfg: RetrievalConfig
 ) -> list[KnowledgeEntry]:
-    """Keep entries with sufficient path-context overlap, preserving order."""
-    return [
-        e
-        for e in entries
-        if path_overlap(query.path, e.path_context) >= cfg.path_overlap_threshold
-    ]
+    """Keep entries with sufficient path-context overlap, preserving order.
+
+    The overlap is computed once per distinct path context."""
+    threshold = cfg.path_overlap_threshold
+    verdicts: dict[str, bool] = {}
+    kept: list[KnowledgeEntry] = []
+    for e in entries:
+        keep = verdicts.get(e.path_context)
+        if keep is None:
+            keep = verdicts[e.path_context] = (
+                path_overlap(query.path, e.path_context) >= threshold
+            )
+        if keep:
+            kept.append(e)
+    return kept
 
 
 def stage2_rank(
@@ -148,14 +158,21 @@ def stage2_rank(
     """Rank survivors by cosine similarity of TF-IDF vectors; keep top n.
 
     Ties (including the all-zero-score case of an out-of-vocabulary query)
-    break deterministically by ascending path context, then term.
+    break deterministically by ascending path context, then term. The
+    cosine is computed once per distinct vector object, so entries sharing
+    their document's vector share one score.
     """
     query_vector = encode_tfidf(model, query.concatenated)
-    scored = [
-        (cosine_similarity(query_vector, e.vector), e) for e in survivors
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1].path_context, pair[1].term))
-    return [e for _, e in scored[: cfg.top_n]]
+    scores: dict[int, float] = {}
+    for e in survivors:
+        if id(e.vector) not in scores:
+            scores[id(e.vector)] = cosine_similarity(query_vector, e.vector)
+    # nsmallest equals sorted(...)[:n] for the same key, ties included.
+    return heapq.nsmallest(
+        cfg.top_n,
+        survivors,
+        key=lambda e: (-scores[id(e.vector)], e.path_context, e.term),
+    )
 
 
 def term_tokens(term: str) -> list[str]:
@@ -167,10 +184,7 @@ def term_tokens(term: str) -> list[str]:
     return tokens
 
 
-def token_overlap(t_i: str, t_j: str) -> float:
-    """Shared-token ratio between two terms, relative to the longer term."""
-    tokens_i = Counter(term_tokens(t_i))
-    tokens_j = Counter(term_tokens(t_j))
+def _counter_overlap(tokens_i: Counter, tokens_j: Counter) -> float:
     longer = max(sum(tokens_i.values()), sum(tokens_j.values()))
     if longer == 0:
         return 0.0
@@ -178,25 +192,26 @@ def token_overlap(t_i: str, t_j: str) -> float:
     return shared / longer
 
 
+def token_overlap(t_i: str, t_j: str) -> float:
+    """Shared-token ratio between two terms, relative to the longer term."""
+    return _counter_overlap(Counter(term_tokens(t_i)), Counter(term_tokens(t_j)))
+
+
 def stage3_dedup(terms: list[str], cfg: RetrievalConfig) -> list[str]:
     """Collapse exact duplicates, then drop every term that is a
-    sufficiently overlapping, strictly shorter (by characters) variant of
-    another term. Survivors keep their original order."""
-    collapsed: list[str] = []
-    for term in terms:
-        if term not in collapsed:
-            collapsed.append(term)
-    survivors = []
-    for t_i in collapsed:
-        nested = any(
-            t_j != t_i
-            and token_overlap(t_i, t_j) >= cfg.token_overlap_threshold
-            and len(t_i) < len(t_j)
-            for t_j in collapsed
+    sufficiently overlapping (:func:`token_overlap`), strictly shorter (by
+    characters) variant of another term. Survivors keep their original
+    order."""
+    tokens = {term: Counter(term_tokens(term)) for term in terms}
+    return [
+        t_i
+        for t_i in tokens
+        if not any(
+            len(t_i) < len(t_j)
+            and _counter_overlap(tokens[t_i], tokens[t_j]) >= cfg.token_overlap_threshold
+            for t_j in tokens
         )
-        if not nested:
-            survivors.append(t_i)
-    return survivors
+    ]
 
 
 def retrieve(

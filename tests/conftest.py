@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from expsum.code_model import MetadataSet
@@ -73,3 +75,26 @@ def table_style_kb():
     model = fit_tfidf(docs)
     entries = [make_entry(model, "RDBStore", docs[0]), make_entry(model, "RDBStore", docs[1])]
     return model, entries
+
+
+@pytest.fixture
+def shared_context_docs():
+    """Seeded corpus in which several docs share each path context and
+    every doc carries several lexical terms; some texts repeat under one
+    context, so their scores tie exactly."""
+    rng = random.Random(20240611)
+    contexts = ["ohos.data.rdb", "ohos.data.relationalStore", "ohos.media", "kit/media/session"]
+    words = ["media", "session", "battery", "power", "store", "rdb", "data", "remote", "table"]
+    terms = [
+        "RdbStore", "AVSession", "AVSessionController", "MEDIA_KEY", "getBatteryLevel",
+        "PowerStatus", "RemoteTable", "dataShare.query", "TableName",
+    ]
+    docs = []
+    for context in contexts:
+        for _ in range(rng.randrange(2, 5)):
+            text = " ".join(
+                rng.choices(words, k=rng.randrange(3, 10)) + rng.sample(terms, rng.randrange(2, 5))
+            )
+            docs.append(PackageDoc(path_context=context, text=text))
+        docs.append(PackageDoc(path_context=context, text=docs[-1].text))
+    return docs

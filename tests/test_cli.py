@@ -10,6 +10,18 @@ from expsum.knowledge_base import load_knowledge_base
 from e2e_fixtures import EXPECTED_SUMMARIES, write_fixture
 
 
+# A knowledge base in the retired format 1, which copied each doc into
+# every one of its term entries.
+V1_KB = json.dumps(
+    {
+        "model": {"vocabulary": {"media": 0}, "doc_count": 1,
+                  "doc_frequency": {"media": 1}, "alpha": 0.01, "log_base": "natural"},
+        "entries": [{"term": "MediaKit", "documentation": "media",
+                     "path_context": "ohos.media", "vector": {"0": -0.00995}}],
+    }
+)
+
+
 @pytest.fixture
 def fixture_paths(tmp_path):
     return write_fixture(tmp_path / "e2e")
@@ -129,13 +141,14 @@ class TestRetrieveCommand:
         kb_path.write_text(
             json.dumps(
                 {
+                    "format": 2,
                     "model": {
                         "vocabulary": {},
                         "doc_count": 1,
                         "doc_frequency": {},
                         "alpha": 0.01,
-                        "log_base": "natural",
                     },
+                    "docs": [],
                     "entries": [],
                 }
             ),
@@ -155,6 +168,42 @@ class TestRetrieveCommand:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["retrieve", "--metadata", str(bad), "--kb", str(fixture_paths["kb"])]) != 0
         assert "error" in capsys.readouterr().err
+
+
+class TestBadKnowledgeBase:
+    """An unusable KB file is one typed error line naming the file, for
+    both commands that load one."""
+
+    @pytest.mark.parametrize("command", ["retrieve", "summarize"])
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            ("{}", "no format field"),
+            (V1_KB, "rebuild it with `expsum kb-build`"),
+        ],
+        ids=["empty-object", "format-1"],
+    )
+    def test_one_error_line_and_exit_1(
+        self, fixture_paths, capsys, command, content, expected
+    ):
+        fixture_paths["kb"].write_text(content, encoding="utf-8")
+        if command == "retrieve":
+            metadata_path = fixture_paths["config"].parent / "m.json"
+            metadata_path.write_text(
+                json.dumps({"function_name": "f", "file_path": "a.ts"}), encoding="utf-8"
+            )
+            argv = ["retrieve", "--metadata", str(metadata_path),
+                    "--kb", str(fixture_paths["kb"])]
+        else:
+            argv = ["summarize", str(fixture_paths["corpus"]),
+                    "--config", str(fixture_paths["config"]),
+                    "--out", str(fixture_paths["config"].parent / "out.jsonl")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: MalformedKnowledgeBase: knowledge base ")
+        assert str(fixture_paths["kb"]) in err
+        assert expected in err
 
 
 class TestSummarizeCommand:
@@ -212,6 +261,26 @@ class TestSummarizeCommand:
         assert by_id["battery-level"]["final_summary"] == (
             EXPECTED_SUMMARIES["battery-level"]["final_summary"]
         )
+
+    @pytest.mark.parametrize("function", ["oops", {"pre_extracted": "oops"}])
+    def test_non_object_function_is_a_record_error(self, fixture_paths, function):
+        build_kb(fixture_paths)
+        fixture_paths["corpus"].write_text(
+            json.dumps({"id": "bad-shape", "function": function}) + "\n", encoding="utf-8"
+        )
+        _, lines = self.run_summarize(fixture_paths)
+        assert lines == [{"id": "bad-shape", "error": "ValueError"}]
+
+    def test_non_object_line_is_one_error_line(self, fixture_paths, capsys):
+        build_kb(fixture_paths)
+        capsys.readouterr()
+        fixture_paths["corpus"].write_text("[1]\n", encoding="utf-8")
+        out = fixture_paths["config"].parent / "out.jsonl"
+        argv = ["summarize", str(fixture_paths["corpus"]),
+                "--config", str(fixture_paths["config"]), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: ValueError: line 1: record is not an object\n"
 
     def test_worker_counts_agree(self, fixture_paths):
         build_kb(fixture_paths)

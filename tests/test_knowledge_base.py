@@ -1,11 +1,14 @@
+import json
 import math
 import random
 import re
 
 import pytest
 
-from expsum.errors import ClientFailure, EmptyCorpus
+from expsum.errors import ClientFailure, EmptyCorpus, MalformedKnowledgeBase
 from expsum.knowledge_base import (
+    KB_FORMAT,
+    KnowledgeEntry,
     PackageDoc,
     SparseVector,
     build_knowledge_base,
@@ -16,6 +19,8 @@ from expsum.knowledge_base import (
     fit_tfidf,
     kb_from_json,
     kb_to_json,
+    load_knowledge_base,
+    save_knowledge_base,
     split_camel,
     tokenize,
 )
@@ -274,3 +279,122 @@ class TestBuildKnowledgeBase:
         assert kb_to_json(model2, entries2) == text
         assert model2 == model
         assert entries2 == entries
+
+
+class TestFormat2:
+    def build(self, docs):
+        return build_knowledge_base(docs, MockLlmClient(MockScript(default="preserved")))
+
+    def test_each_doc_stored_once_and_shared(self, shared_context_docs, tmp_path):
+        model, entries = self.build(shared_context_docs)
+        assert len(entries) > 2 * len(shared_context_docs)
+        path = tmp_path / "kb.json"
+        save_knowledge_base(path, model, entries)
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert payload["format"] == KB_FORMAT
+        distinct = {(d.path_context, d.text) for d in shared_context_docs}
+        assert len(payload["docs"]) == len(distinct) < len(shared_context_docs)
+        for doc in shared_context_docs:
+            assert text.count(json.dumps(doc.text, ensure_ascii=False)) == 1
+        # one vector object per built doc, and per stored doc after loading
+        assert len({id(e.vector) for e in entries}) == len(shared_context_docs)
+        loaded = load_knowledge_base(path)[1]
+        assert len({id(e.vector) for e in loaded}) == len(distinct)
+        assert len({id(e.documentation) for e in loaded}) == len(distinct)
+
+    def test_docs_in_order_of_first_use(self, table_style_kb):
+        model, entries = table_style_kb
+        payload = json.loads(kb_to_json(model, entries[::-1]))
+        assert [d["path_context"] for d in payload["docs"]] == [
+            "ohos.data.rdb", "ohos.data.relationalStore",
+        ]
+        assert payload["entries"] == [
+            {"term": "RDBStore", "doc": 0}, {"term": "RDBStore", "doc": 1},
+        ]
+
+    def test_equal_vectors_do_not_merge_distinct_docs(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        v = SparseVector({0: 0.5})
+        entries = [
+            KnowledgeEntry("T", "same text", "ctx.one", v),
+            KnowledgeEntry("T", "same text", "ctx.two", v),
+            KnowledgeEntry("T", "other text", "ctx.one", v),
+            KnowledgeEntry("U", "same text", "ctx.one", SparseVector({0: 0.25})),
+            KnowledgeEntry("V", "same text", "ctx.one", SparseVector({0: 0.5})),
+        ]
+        text = kb_to_json(model, entries)
+        assert [e["doc"] for e in json.loads(text)["entries"]] == [0, 1, 2, 3, 0]
+        assert kb_from_json(text)[1] == entries
+
+    def test_save_load_round_trip_and_rebuild_are_byte_identical(
+        self, shared_context_docs, tmp_path
+    ):
+        path = tmp_path / "kb.json"
+        save_knowledge_base(path, *self.build(shared_context_docs))
+        first = path.read_bytes()
+        save_knowledge_base(path, *load_knowledge_base(path))
+        assert path.read_bytes() == first
+        save_knowledge_base(path, *self.build(shared_context_docs))
+        assert path.read_bytes() == first
+
+
+def valid_payload():
+    return {
+        "format": 2,
+        "model": {"vocabulary": {"media": 0}, "doc_count": 2,
+                  "doc_frequency": {"media": 1}, "alpha": 0.01},
+        "docs": [{"path_context": "ohos.media", "text": "media", "vector": {"0": 0.69}}],
+        "entries": [{"term": "MediaKit", "doc": 0}],
+    }
+
+
+def broken(change):
+    payload = valid_payload()
+    change(payload)
+    return json.dumps(payload)
+
+
+class TestLoadErrors:
+    def test_valid_payload_loads(self):
+        model, entries = kb_from_json(json.dumps(valid_payload()))
+        assert entries == [
+            KnowledgeEntry("MediaKit", "media", "ohos.media", SparseVector({0: 0.69}))
+        ]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("{not json", "not valid JSON"),
+            ("[]", "not a JSON object"),
+            ("{}", "no format field"),
+            (broken(lambda p: p.update(format=1)), "format 1, expected format 2"),
+            (broken(lambda p: p.pop("docs")), "'docs' is missing or not a list"),
+            (broken(lambda p: p.update(model=[])), "'model' is missing or not a dict"),
+            (broken(lambda p: p["model"].pop("alpha")), "'model' lacks a key"),
+            (broken(lambda p: p["model"].update(vocabulary={"a": "x"})), "ill-typed"),
+            (broken(lambda p: p["docs"].append(3)), "docs[1] is not an object"),
+            (broken(lambda p: p["docs"][0].pop("text")), "docs[0] 'text' is missing"),
+            (broken(lambda p: p["docs"][0].update(vector={"0": "x"})), "ill-typed index or"),
+            (broken(lambda p: p["docs"][0].update(vector={"a": 1.0})), "ill-typed index or"),
+            (broken(lambda p: p["entries"].append("t")), "entries[1] is not an object"),
+            (broken(lambda p: p["entries"][0].update(doc=1)), "doc index 1 is invalid"),
+            (broken(lambda p: p["entries"][0].update(doc=-1)), "doc index -1 is invalid"),
+            (broken(lambda p: p["entries"][0].update(doc=True)), "doc index True"),
+            (broken(lambda p: p["entries"][0].update(term=7)), "term 7"),
+        ],
+    )
+    def test_malformed_text_raises_typed_error(self, text, expected):
+        with pytest.raises(MalformedKnowledgeBase) as err:
+            kb_from_json(text)
+        assert expected in str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_load_names_the_file(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text('{"model": {}, "entries": []}', encoding="utf-8")
+        with pytest.raises(MalformedKnowledgeBase) as err:
+            load_knowledge_base(path)
+        message = str(err.value)
+        assert message.startswith(f"knowledge base {path}: ")
+        assert "rebuild it with `expsum kb-build`" in message

@@ -9,9 +9,13 @@ from expsum.knowledge_base import (
     KnowledgeEntry,
     PackageDoc,
     SparseVector,
+    build_knowledge_base,
     encode_tfidf,
     fit_tfidf,
+    load_knowledge_base,
+    save_knowledge_base,
 )
+from expsum.llm import MockLlmClient, MockRule, MockScript
 from expsum.retrieval import (
     QueryText,
     RetrievalConfig,
@@ -371,6 +375,40 @@ class TestCascadeProperties:
             # determinism
             again = retrieve(query, (model, entries), cfg)
             assert again == result
+
+
+class TestSavedKnowledgeBase:
+    def test_loaded_kb_matches_oracle(self, shared_context_docs, tmp_path):
+        client = MockLlmClient(
+            MockScript(
+                rules=(MockRule(matcher="Word: remote", response="changed"),),
+                default="preserved",
+            )
+        )
+        built = build_knowledge_base(shared_context_docs, client)
+        save_knowledge_base(tmp_path / "kb.json", *built)
+        model, entries = load_knowledge_base(tmp_path / "kb.json")
+        rng = random.Random(5)
+        words = ["media", "session", "battery", "power", "store", "rdb", "AVSession", "oov"]
+        paths = ["ohos.data.rdb", "ohos.data.rdb.RdbPredicates", "ohos.data", "ohos.media",
+                 "ohos.media.avsession", "kit/media/session", "kit.media"]
+        checked = 0
+        for threshold in (0.5, 0.75, 1.0):
+            for top_n in (1, 3, 9, 40):
+                cfg = RetrievalConfig(path_overlap_threshold=threshold, top_n=top_n)
+                for _ in range(8):
+                    query = QueryText(
+                        concatenated=" ".join(rng.choices(words, k=rng.randrange(1, 6))),
+                        path=rng.choice(paths),
+                    )
+                    result = retrieve(query, (model, entries), cfg)
+                    expected = oracle_retrieve(query, model, entries, cfg)
+                    assert list(map(id, result.entries)) == list(map(id, expected.entries))
+                    assert result.terms == expected.terms
+                    assert result.stage_trace == expected.stage_trace
+                    assert retrieve(query, built, cfg) == result
+                    checked += result.stage_trace[1] > 1
+        assert checked > 20  # most queries rank more than one entry
 
 
 class TestQueryFromMetadata:
