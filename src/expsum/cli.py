@@ -267,10 +267,12 @@ def cmd_summarize(args) -> int:
 
 def _load_jsonl_field(path: Path, *keys: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError(f"{path} line {line_no}: record is not an object")
         record_id = record.get("id")
         if record_id is None:
             continue

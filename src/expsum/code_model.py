@@ -181,21 +181,63 @@ def metadata_to_dict(m: MetadataSet) -> dict[str, Any]:
     return out
 
 
+def _require(ok: bool, name: str, expected: str, value: Any) -> None:
+    if not ok:
+        raise ValueError(f"metadata field {name!r} must be {expected}, not {value!r:.60}")
+
+
+def _string(
+    d: dict[str, Any], key: str, default: Optional[str], name: Optional[str] = None
+) -> Optional[str]:
+    """``d[key]`` if it is a string; ``null`` only where the default is."""
+    value = d.get(key, default)
+    ok = isinstance(value, str) or (value is None and default is None)
+    _require(ok, name or key, "a string", value)
+    return value
+
+
 def metadata_from_dict(d: dict[str, Any]) -> MetadataSet:
+    """Inverse of :func:`metadata_to_dict`.
+
+    Raises ``ValueError`` naming the field when a value has the wrong shape:
+    a text field that is not a string, ``parameters`` that is not a list of
+    objects with string subfields, ``dependency`` that is not a list of
+    strings, or ``dmt`` that is not an object of strings. ``null`` marks an
+    absent field.
+    """
     params = d.get("parameters")
     if params is not None:
+        _require(
+            isinstance(params, list) and all(isinstance(p, dict) for p in params),
+            "parameters", "a list of objects", params,
+        )
+        for i, p in enumerate(params):
+            _string(p, "name", "", f"parameters[{i}].name")
+            _string(p, "type_annotation", None, f"parameters[{i}].type_annotation")
+            _string(p, "default_value", None, f"parameters[{i}].default_value")
         params = [ParameterField.from_dict(p) for p in params]
+    dependency = d.get("dependency")
+    _require(
+        dependency is None
+        or isinstance(dependency, list) and all(isinstance(x, str) for x in dependency),
+        "dependency", "a list of strings", dependency,
+    )
+    dmt = d.get("dmt", {})
+    _require(
+        isinstance(dmt, dict) and all(isinstance(v, str) for v in dmt.values()),
+        "dmt", "an object of strings", dmt,
+    )
     return MetadataSet(
-        function_name=d.get("function_name", ""),
+        function_name=_string(d, "function_name", ""),
         parameters=params,
-        return_type=d.get("return_type"),
-        file_path=d.get("file_path", ""),
-        package_module=d.get("package_module"),
-        dependency=list(d["dependency"]) if d.get("dependency") is not None else None,
-        control_flow_skeleton=d.get("control_flow_skeleton"),
-        io_behavior=d.get("io_behavior"),
-        variable_modification=d.get("variable_modification"),
-        dmt=dict(d.get("dmt", {})),
+        return_type=_string(d, "return_type", None),
+        file_path=_string(d, "file_path", ""),
+        package_module=_string(d, "package_module", None),
+        dependency=list(dependency) if dependency is not None else None,
+        control_flow_skeleton=_string(d, "control_flow_skeleton", None),
+        io_behavior=_string(d, "io_behavior", None),
+        variable_modification=_string(d, "variable_modification", None),
+        dmt=dict(dmt),
     )
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .code_model import MetadataSet, ParameterField
 from .errors import ParseFailure
+from .knowledge_base import split_camel
 
 _TOKEN_RE = re.compile(
     r"""
@@ -116,10 +117,6 @@ def harvest_annotations(tokens: list[Token]) -> dict[str, str]:
 
 def _strip_quotes(text: str) -> str:
     return text[1:-1] if len(text) >= 2 else text
-
-
-def _split_camel(word: str) -> list[str]:
-    return re.findall(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+", word)
 
 
 class TypeScriptLikeFrontend:
@@ -430,7 +427,7 @@ class TypeScriptLikeFrontend:
         for t in body:
             if t.kind != "ident" or t.text in _KEYWORDS:
                 continue
-            segments = {s.lower() for s in _split_camel(t.text)}
+            segments = {s.lower() for s in split_camel(t.text)}
             for verb in _IO_VERBS:
                 if verb in segments and verb not in found:
                     found.append(verb)

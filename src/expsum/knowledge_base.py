@@ -114,7 +114,7 @@ class TfIdfModel:
         return math.log(self.doc_count / (self.doc_frequency[token] + self.alpha))
 
 
-@dataclass
+@dataclass(slots=True)
 class KnowledgeEntry:
     """4-tuple knowledge record: term, documentation, path context, vector.
 
@@ -313,21 +313,26 @@ def build_knowledge_base(
 # -- persistence -------------------------------------------------------------
 
 #: Version of the saved file layout; files of any other version are refused.
-KB_FORMAT = 2
+KB_FORMAT = 3
 
 
 def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
-    """Render the knowledge base as format-2 JSON.
+    """Render the knowledge base as format-3 JSON.
 
     ``docs`` lists each distinct (path context, text, vector) once, in order
-    of first use by an entry; each of ``entries`` names its term and the
-    index of its doc.
+    of first use by an entry, with the vector as ascending ``indices`` and
+    their ``weights``; ``entries`` holds two parallel arrays, each entry's
+    term and the index of its doc.
     """
     docs: list[dict] = []
     doc_index: dict[tuple, int] = {}
-    refs: list[dict] = []
+    sorted_items: dict[int, tuple] = {}  # id of a vector object -> its sorted items
+    terms: list[str] = []
+    refs: list[int] = []
     for e in entries:
-        items = tuple(sorted(e.vector.entries.items()))
+        items = sorted_items.get(id(e.vector))
+        if items is None:
+            items = sorted_items[id(e.vector)] = tuple(sorted(e.vector.entries.items()))
         key = (e.path_context, e.documentation, items)
         index = doc_index.get(key)
         if index is None:
@@ -336,10 +341,12 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
                 {
                     "path_context": e.path_context,
                     "text": e.documentation,
-                    "vector": {str(i): w for i, w in items},
+                    "indices": [i for i, _ in items],
+                    "weights": [w for _, w in items],
                 }
             )
-        refs.append({"term": e.term, "doc": index})
+        terms.append(e.term)
+        refs.append(index)
     payload = {
         "format": KB_FORMAT,
         "model": {
@@ -349,9 +356,10 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
             "alpha": model.alpha,
         },
         "docs": docs,
-        "entries": refs,
+        "entries": {"terms": terms, "docs": refs},
     }
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return text + "\n"
 
 
 def _section(obj: dict, key: str, kind: type, where: str):
@@ -361,17 +369,24 @@ def _section(obj: dict, key: str, kind: type, where: str):
     return value
 
 
+def _only(values: list, kinds: set) -> bool:
+    """Whether every item of ``values`` is exactly of one of ``kinds``
+    (``bool`` is not an ``int`` here)."""
+    return set(map(type, values)) <= kinds
+
+
 def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    """Parse format-2 JSON (see :func:`kb_to_json`); the entries of one doc
+    """Parse format-3 JSON (see :func:`kb_to_json`); the entries of one doc
     share its text and vector object.
 
     Raises :class:`MalformedKnowledgeBase` for text that is not a well-formed
-    format-2 knowledge base, files of an older format included.
+    format-3 knowledge base, files of an older format included.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedKnowledgeBase(f"not valid JSON: {e}") from None
+    del text  # only the parsed payload is needed from here on
     if not isinstance(payload, dict):
         raise MalformedKnowledgeBase("not a JSON object")
     fmt = payload.get("format")
@@ -382,7 +397,9 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
         )
     m = _section(payload, "model", dict, "")
     raw_docs = _section(payload, "docs", list, "")
-    raw_entries = _section(payload, "entries", list, "")
+    raw_entries = _section(payload, "entries", dict, "")
+    terms = _section(raw_entries, "terms", list, "'entries' ")
+    refs = _section(raw_entries, "docs", list, "'entries' ")
     try:
         model = TfIdfModel(
             vocabulary={k: int(v) for k, v in m["vocabulary"].items()},
@@ -390,41 +407,57 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
             doc_frequency={k: int(v) for k, v in m["doc_frequency"].items()},
             alpha=float(m["alpha"]),
         )
-    except (KeyError, AttributeError, TypeError, ValueError) as e:
+    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as e:
         raise MalformedKnowledgeBase(
             f"'model' lacks a key or has an ill-typed value ({type(e).__name__}: {e})"
         ) from None
-    docs: list[tuple[str, str, SparseVector]] = []
+    contexts: list[str] = []
+    texts: list[str] = []
+    vectors: list[SparseVector] = []
     for n, d in enumerate(raw_docs):
         where = f"docs[{n}] "
         if not isinstance(d, dict):
             raise MalformedKnowledgeBase(f"{where}is not an object")
-        path_context = _section(d, "path_context", str, where)
-        doc_text = _section(d, "text", str, where)
-        try:
-            vector = SparseVector(
-                {int(i): float(w) for i, w in _section(d, "vector", dict, where).items()}
+        contexts.append(_section(d, "path_context", str, where))
+        texts.append(_section(d, "text", str, where))
+        indices = _section(d, "indices", list, where)
+        weights = _section(d, "weights", list, where)
+        if len(indices) != len(weights):
+            raise MalformedKnowledgeBase(
+                f"{where}has {len(indices)} indices but {len(weights)} weights"
             )
-        except (TypeError, ValueError) as e:
-            raise MalformedKnowledgeBase(
-                f"{where}vector: ill-typed index or weight: {e}"
-            ) from None
-        docs.append((doc_text, path_context, vector))
-    entries: list[KnowledgeEntry] = []
-    for n, e in enumerate(raw_entries):
-        try:
-            term, index = e["term"], e["doc"]
-        except (TypeError, KeyError):
-            raise MalformedKnowledgeBase(
-                f"entries[{n}] is not an object with 'term' and 'doc'"
-            ) from None
-        if type(term) is not str or type(index) is not int or not 0 <= index < len(docs):
-            raise MalformedKnowledgeBase(
-                f"entries[{n}]: term {term!r} or doc index {index!r} is invalid "
-                f"({len(docs)} docs)"
-            )
-        entries.append(KnowledgeEntry(term, *docs[index]))
-    return model, entries
+        if not _only(indices, {int}):
+            raise MalformedKnowledgeBase(f"{where}'indices' holds a non-integer")
+        if not _only(weights, {float, int}):
+            raise MalformedKnowledgeBase(f"{where}'weights' holds a non-number")
+        vector = dict(zip(indices, map(float, weights)))
+        if len(vector) != len(indices):
+            raise MalformedKnowledgeBase(f"{where}'indices' repeats an index")
+        vectors.append(SparseVector(vector))
+    del payload, raw_docs  # the index lists are garbage once the vectors exist
+    if len(terms) != len(refs):
+        raise MalformedKnowledgeBase(
+            f"'entries' has {len(terms)} terms but {len(refs)} doc indices"
+        )
+    if not _only(terms, {str}):
+        raise MalformedKnowledgeBase("'entries' 'terms' holds a non-string")
+    if not _only(refs, {int}) or (refs and not 0 <= min(refs) <= max(refs) < len(vectors)):
+        n, index = next(
+            (n, i) for n, i in enumerate(refs)
+            if type(i) is not int or not 0 <= i < len(vectors)
+        )
+        raise MalformedKnowledgeBase(
+            f"entries[{n}]: doc index {index!r} is invalid ({len(vectors)} docs)"
+        )
+    return model, list(
+        map(
+            KnowledgeEntry,
+            terms,
+            map(texts.__getitem__, refs),
+            map(contexts.__getitem__, refs),
+            map(vectors.__getitem__, refs),
+        )
+    )
 
 
 def save_knowledge_base(
@@ -433,12 +466,16 @@ def save_knowledge_base(
     Path(path).write_text(kb_to_json(model, entries), encoding="utf-8")
 
 
-def load_knowledge_base(path: str | Path) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise IoFailure(f"cannot read knowledge base {path}: {e}") from e
+
+
+def load_knowledge_base(path: str | Path) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     try:
-        return kb_from_json(text)
+        # no local keeps the text, so kb_from_json can free it once parsed
+        return kb_from_json(_read_text(path))
     except MalformedKnowledgeBase as e:
         raise MalformedKnowledgeBase(f"knowledge base {path}: {e}") from None

@@ -22,6 +22,19 @@ V1_KB = json.dumps(
 )
 
 
+# A knowledge base in the retired format 2, which stored each doc's vector
+# as a string-keyed map and each entry as its own object.
+V2_KB = json.dumps(
+    {
+        "format": 2,
+        "model": {"vocabulary": {"media": 0}, "doc_count": 1,
+                  "doc_frequency": {"media": 1}, "alpha": 0.01},
+        "docs": [{"path_context": "ohos.media", "text": "media", "vector": {"0": -0.00995}}],
+        "entries": [{"term": "MediaKit", "doc": 0}],
+    }
+)
+
+
 @pytest.fixture
 def fixture_paths(tmp_path):
     return write_fixture(tmp_path / "e2e")
@@ -141,7 +154,7 @@ class TestRetrieveCommand:
         kb_path.write_text(
             json.dumps(
                 {
-                    "format": 2,
+                    "format": 3,
                     "model": {
                         "vocabulary": {},
                         "doc_count": 1,
@@ -149,7 +162,7 @@ class TestRetrieveCommand:
                         "alpha": 0.01,
                     },
                     "docs": [],
-                    "entries": [],
+                    "entries": {"terms": [], "docs": []},
                 }
             ),
             encoding="utf-8",
@@ -180,8 +193,9 @@ class TestBadKnowledgeBase:
         [
             ("{}", "no format field"),
             (V1_KB, "rebuild it with `expsum kb-build`"),
+            (V2_KB, "format 2, expected format 3; rebuild it with `expsum kb-build`"),
         ],
-        ids=["empty-object", "format-1"],
+        ids=["empty-object", "format-1", "format-2"],
     )
     def test_one_error_line_and_exit_1(
         self, fixture_paths, capsys, command, content, expected
@@ -270,6 +284,34 @@ class TestSummarizeCommand:
         )
         _, lines = self.run_summarize(fixture_paths)
         assert lines == [{"id": "bad-shape", "error": "ValueError"}]
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"parameters": "zz"}, {"dependency": "abc"}, {"dmt": "x"}, {"return_type": 5}],
+        ids=["parameters", "dependency", "dmt", "return_type"],
+    )
+    def test_ill_shaped_pre_extracted_field_is_a_record_error(
+        self, fixture_paths, capsys, change
+    ):
+        build_kb(fixture_paths)
+        records = [
+            json.loads(line)
+            for line in fixture_paths["corpus"].read_text(encoding="utf-8").splitlines()
+        ]
+        bad = next(r for r in records if "pre_extracted" in r["function"])
+        bad["id"] = "bad-shape"
+        bad["function"]["pre_extracted"].update(change)
+        with open(fixture_paths["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        capsys.readouterr()
+        _, lines = self.run_summarize(fixture_paths)
+        assert len(lines) == len(records) + 1
+        assert lines[-1] == {"id": "bad-shape", "error": "ValueError"}
+        assert all("error" not in line for line in lines[:-1])
+        field = next(iter(change))
+        assert f"record 'bad-shape' failed: ValueError: metadata field '{field}'" in (
+            capsys.readouterr().err
+        )
 
     def test_non_object_line_is_one_error_line(self, fixture_paths, capsys):
         build_kb(fixture_paths)
@@ -372,6 +414,25 @@ class TestEvaluateCommand:
         )
         assert code != 0
         assert "zero joinable ids" in capsys.readouterr().err
+
+    def test_non_object_line_is_one_error_line(self, tmp_path, capsys):
+        generated = tmp_path / "gen.jsonl"
+        generated.write_text(json.dumps({"id": "a", "candidate": "x"}) + "\n[1]\n")
+        references = tmp_path / "ref.jsonl"
+        references.write_text(json.dumps({"id": "a", "reference": "x"}) + "\n")
+        code = main(
+            [
+                "evaluate",
+                "--generated", str(generated),
+                "--references", str(references),
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {generated} line 2: record is not an object\n"
+        )
+        assert not (tmp_path / "report.json").exists()
 
     def test_csv_output(self, tmp_path):
         generated = tmp_path / "gen.jsonl"

@@ -10,6 +10,7 @@ from expsum.code_model import (
     ParameterField,
     deserialize_metadata,
     extract_control_flow_skeleton,
+    metadata_from_dict,
     model_function,
     serialize_metadata,
 )
@@ -199,3 +200,36 @@ class TestSerialization:
         with_none = MetadataSet(function_name="f", file_path="p", parameters=None)
         assert deserialize_metadata(serialize_metadata(with_empty)).parameters == []
         assert deserialize_metadata(serialize_metadata(with_none)).parameters is None
+
+
+class TestRecordShape:
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"parameters": "zz"}, "'parameters' must be a list of objects"),
+            ({"parameters": [1]}, "'parameters' must be a list of objects"),
+            ({"parameters": [{"name": 3}]}, "'parameters[0].name' must be a string"),
+            ({"parameters": [{"name": None}]}, "'parameters[0].name' must be a string"),
+            ({"parameters": [{"name": "x", "type_annotation": []}]},
+             "'parameters[0].type_annotation' must be a string"),
+            ({"dependency": "abc"}, "'dependency' must be a list of strings"),
+            ({"dependency": [1]}, "'dependency' must be a list of strings"),
+            ({"dmt": "x"}, "'dmt' must be an object of strings"),
+            ({"dmt": None}, "'dmt' must be an object of strings"),
+            ({"dmt": {"@since": 9}}, "'dmt' must be an object of strings"),
+            ({"function_name": None}, "'function_name' must be a string"),
+            ({"return_type": 5}, "'return_type' must be a string"),
+        ],
+    )
+    def test_wrong_shape_names_the_field(self, change, field):
+        with pytest.raises(ValueError) as err:
+            metadata_from_dict({"function_name": "f", "file_path": "a.ts", **change})
+        assert field in str(err.value)
+
+    def test_null_marks_an_absent_field(self):
+        m = metadata_from_dict(
+            {"function_name": "f", "file_path": "a.ts", "dependency": None, "return_type": None,
+             "parameters": [{"name": "x", "type_annotation": None}]}
+        )
+        assert m.dependency is None and m.return_type is None
+        assert m.parameters == [ParameterField("x")]

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum.errors import ClientFailure, EmptyCorpus, MalformedKnowledgeBase
 from expsum.knowledge_base import (
@@ -11,6 +13,7 @@ from expsum.knowledge_base import (
     KnowledgeEntry,
     PackageDoc,
     SparseVector,
+    TfIdfModel,
     build_knowledge_base,
     cosine_similarity,
     encode_tfidf,
@@ -281,7 +284,7 @@ class TestBuildKnowledgeBase:
         assert entries2 == entries
 
 
-class TestFormat2:
+class TestFormat3:
     def build(self, docs):
         return build_knowledge_base(docs, MockLlmClient(MockScript(default="preserved")))
 
@@ -309,9 +312,22 @@ class TestFormat2:
         assert [d["path_context"] for d in payload["docs"]] == [
             "ohos.data.rdb", "ohos.data.relationalStore",
         ]
-        assert payload["entries"] == [
-            {"term": "RDBStore", "doc": 0}, {"term": "RDBStore", "doc": 1},
-        ]
+        assert payload["entries"] == {"terms": ["RDBStore", "RDBStore"], "docs": [0, 1]}
+
+    def test_vectors_are_ascending_indices_with_their_weights(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        v = SparseVector({7: 0.5, 2: 0.25, 4: -0.125})
+        doc = json.loads(kb_to_json(model, [KnowledgeEntry("T", "text", "ctx", v)]))["docs"][0]
+        assert doc["indices"] == [2, 4, 7]
+        assert doc["weights"] == [0.25, -0.125, 0.5]
+
+    def test_compact_sorted_single_line(self, table_style_kb):
+        text = kb_to_json(*table_style_kb)
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert ", " not in text and '": ' not in text
+        assert text == json.dumps(
+            json.loads(text), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        ) + "\n"
 
     def test_equal_vectors_do_not_merge_distinct_docs(self):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -324,7 +340,7 @@ class TestFormat2:
             KnowledgeEntry("V", "same text", "ctx.one", SparseVector({0: 0.5})),
         ]
         text = kb_to_json(model, entries)
-        assert [e["doc"] for e in json.loads(text)["entries"]] == [0, 1, 2, 3, 0]
+        assert json.loads(text)["entries"]["docs"] == [0, 1, 2, 3, 0]
         assert kb_from_json(text)[1] == entries
 
     def test_save_load_round_trip_and_rebuild_are_byte_identical(
@@ -341,11 +357,12 @@ class TestFormat2:
 
 def valid_payload():
     return {
-        "format": 2,
+        "format": 3,
         "model": {"vocabulary": {"media": 0}, "doc_count": 2,
                   "doc_frequency": {"media": 1}, "alpha": 0.01},
-        "docs": [{"path_context": "ohos.media", "text": "media", "vector": {"0": 0.69}}],
-        "entries": [{"term": "MediaKit", "doc": 0}],
+        "docs": [{"path_context": "ohos.media", "text": "media",
+                  "indices": [0], "weights": [0.69]}],
+        "entries": {"terms": ["MediaKit"], "docs": [0]},
     }
 
 
@@ -355,6 +372,15 @@ def broken(change):
     return json.dumps(payload)
 
 
+def set_in(path, value):
+    def change(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+    return change
+
+
 class TestLoadErrors:
     def test_valid_payload_loads(self):
         model, entries = kb_from_json(json.dumps(valid_payload()))
@@ -362,26 +388,43 @@ class TestLoadErrors:
             KnowledgeEntry("MediaKit", "media", "ohos.media", SparseVector({0: 0.69}))
         ]
 
+    def test_integer_weights_load_as_floats(self):
+        text = broken(set_in(("docs", 0, "weights"), [1]))
+        weight = kb_from_json(text)[1][0].vector.entries[0]
+        assert weight == 1.0 and type(weight) is float
+
     @pytest.mark.parametrize(
         "text, expected",
         [
             ("{not json", "not valid JSON"),
             ("[]", "not a JSON object"),
             ("{}", "no format field"),
-            (broken(lambda p: p.update(format=1)), "format 1, expected format 2"),
+            (broken(set_in(("format",), 1)), "format 1, expected format 3"),
+            (broken(set_in(("format",), 2)), "format 2, expected format 3"),
             (broken(lambda p: p.pop("docs")), "'docs' is missing or not a list"),
-            (broken(lambda p: p.update(model=[])), "'model' is missing or not a dict"),
+            (broken(set_in(("model",), [])), "'model' is missing or not a dict"),
             (broken(lambda p: p["model"].pop("alpha")), "'model' lacks a key"),
-            (broken(lambda p: p["model"].update(vocabulary={"a": "x"})), "ill-typed"),
+            (broken(set_in(("model", "vocabulary"), {"a": "x"})), "ill-typed"),
+            (broken(set_in(("model", "doc_count"), 1e400)), "ill-typed"),
             (broken(lambda p: p["docs"].append(3)), "docs[1] is not an object"),
             (broken(lambda p: p["docs"][0].pop("text")), "docs[0] 'text' is missing"),
-            (broken(lambda p: p["docs"][0].update(vector={"0": "x"})), "ill-typed index or"),
-            (broken(lambda p: p["docs"][0].update(vector={"a": 1.0})), "ill-typed index or"),
-            (broken(lambda p: p["entries"].append("t")), "entries[1] is not an object"),
-            (broken(lambda p: p["entries"][0].update(doc=1)), "doc index 1 is invalid"),
-            (broken(lambda p: p["entries"][0].update(doc=-1)), "doc index -1 is invalid"),
-            (broken(lambda p: p["entries"][0].update(doc=True)), "doc index True"),
-            (broken(lambda p: p["entries"][0].update(term=7)), "term 7"),
+            (broken(lambda p: p["docs"][0].pop("indices")), "docs[0] 'indices' is missing"),
+            (broken(set_in(("docs", 0, "weights"), {"0": 1.0})), "'weights' is missing or not"),
+            (broken(set_in(("docs", 0, "weights"), [])), "1 indices but 0 weights"),
+            (broken(set_in(("docs", 0, "indices"), ["0"])), "'indices' holds a non-integer"),
+            (broken(set_in(("docs", 0, "indices"), [True])), "'indices' holds a non-integer"),
+            (broken(set_in(("docs", 0, "weights"), ["x"])), "'weights' holds a non-number"),
+            (broken(set_in(("docs", 0, "weights"), [None])), "'weights' holds a non-number"),
+            (broken(lambda p: p["docs"][0].update(indices=[0, 0], weights=[1.0, 2.0])),
+             "'indices' repeats an index"),
+            (broken(set_in(("entries",), [{"term": "MediaKit", "doc": 0}])), "'entries' is missing or not a dict"),
+            (broken(lambda p: p["entries"].pop("terms")), "'entries' 'terms' is missing"),
+            (broken(lambda p: p["entries"]["terms"].append("t")), "2 terms but 1 doc indices"),
+            (broken(set_in(("entries", "terms", 0), 7)), "'terms' holds a non-string"),
+            (broken(set_in(("entries", "docs", 0), 1)), "doc index 1 is invalid"),
+            (broken(set_in(("entries", "docs", 0), -1)), "doc index -1 is invalid"),
+            (broken(set_in(("entries", "docs", 0), True)), "doc index True"),
+            (broken(set_in(("entries", "docs", 0), "0")), "doc index '0'"),
         ],
     )
     def test_malformed_text_raises_typed_error(self, text, expected):
@@ -398,3 +441,109 @@ class TestLoadErrors:
         message = str(err.value)
         assert message.startswith(f"knowledge base {path}: ")
         assert "rebuild it with `expsum kb-build`" in message
+
+
+# -- property tests of the file format ------------------------------------------
+
+names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def knowledge_bases(draw):
+    """A model plus entries in any order over a few docs; docs share path
+    contexts, texts and vector contents, and some entries carry their own
+    copy of their doc's vector, as hand-built entries may."""
+    model = TfIdfModel(
+        vocabulary=draw(st.dictionaries(names, st.integers(0, 50), max_size=4)),
+        doc_count=draw(st.integers(1, 100)),
+        doc_frequency=draw(st.dictionaries(names, st.integers(0, 100), max_size=4)),
+        alpha=draw(finite),
+    )
+    contexts = draw(st.lists(names.filter(bool), min_size=1, max_size=3))
+    texts = draw(st.lists(names, min_size=1, max_size=3))
+    contents = draw(
+        st.lists(st.dictionaries(st.integers(0, 30), finite, max_size=4), min_size=1, max_size=3)
+    )
+    docs = [
+        (text, context, SparseVector(dict(content)))
+        for text, context, content in draw(
+            st.lists(
+                st.tuples(st.sampled_from(texts), st.sampled_from(contexts),
+                          st.sampled_from(contents)),
+                min_size=1, max_size=6,
+            )
+        )
+    ]
+    entries = []
+    for term, n, own_copy in draw(
+        st.lists(st.tuples(names, st.integers(0, len(docs) - 1), st.booleans()), max_size=12)
+    ):
+        text, context, vector = docs[n]
+        if own_copy:
+            vector = SparseVector(dict(vector.entries))
+        entries.append(KnowledgeEntry(term, text, context, vector))
+    return model, entries
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from([2, 3, -1, 10**6, "0", 0.5]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def locations(node, path=()):
+    """The path of every value in a parsed JSON document, the root included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from locations(child, path + (key,))
+
+
+def mutate(payload, path, action, value):
+    """Drop, replace or grow the value at ``path``; returns the new root."""
+    if not path:
+        return value if action == "replace" else payload
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if action == "drop":
+        del parent[key]
+    elif action == "replace":
+        parent[key] = value
+    elif isinstance(parent[key], list):
+        parent[key].append(value)
+    elif isinstance(parent[key], dict):
+        parent[key]["x"] = value
+    return payload
+
+
+class TestFileProperties:
+    @settings(deadline=None)
+    @given(knowledge_bases())
+    def test_round_trip_is_byte_identical_and_lossless(self, kb):
+        model, entries = kb
+        text = kb_to_json(model, entries)
+        loaded_model, loaded = kb_from_json(text)
+        assert kb_to_json(loaded_model, loaded) == text
+        assert loaded_model == model
+        assert loaded == entries
+
+    @settings(max_examples=200, deadline=None)
+    @given(knowledge_bases(), st.data())
+    def test_mutated_files_raise_only_malformed(self, kb, data):
+        payload = json.loads(kb_to_json(*kb))
+        for _ in range(data.draw(st.integers(1, 3))):
+            payload = mutate(
+                payload,
+                data.draw(st.sampled_from(list(locations(payload)))),
+                data.draw(st.sampled_from(["drop", "replace", "grow"])),
+                data.draw(json_values),
+            )
+        try:
+            kb_from_json(json.dumps(payload))
+        except MalformedKnowledgeBase as e:
+            assert "\n" not in str(e)
