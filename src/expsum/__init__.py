@@ -19,6 +19,7 @@ from .code_model import (
     model_function,
     serialize_metadata,
 )
+from .config import load_pipeline_config
 from .errors import ExpSumError
 from .knowledge_base import (
     KnowledgeEntry,
@@ -36,6 +37,7 @@ from .knowledge_base import (
 from .llm import HttpLlmClient, LlmRequest, LlmResponse, MockLlmClient, MockScript
 from .metadata_check import CheckReport, UninformativeDictionary, check_metadata, load_dictionary
 from .metrics import EvaluationReport, ScorePair, bleu4, evaluate_corpus, rouge_l
+from .pipeline import Pipeline
 from .retrieval import (
     QueryText,
     RetrievalConfig,

@@ -20,11 +20,10 @@ from .code_model import (
     FunctionRecord,
     Language,
     deserialize_metadata,
-    metadata_from_dict,
     metadata_to_dict,
     model_function,
 )
-from .errors import ClientFailure, ConfigError, EmptyCorpus, ExpSumError
+from .errors import EmptyCorpus, ExpSumError
 from .knowledge_base import (
     PackageDoc,
     build_knowledge_base,
@@ -33,56 +32,40 @@ from .knowledge_base import (
 )
 from .metadata_check import check_metadata, load_dictionary
 from .metrics import ScorePair, evaluate_corpus
+from .pipeline import Pipeline
 from .retrieval import RetrievalConfig, query_from_metadata, retrieve
-from .summarizer import (
-    SummarizerConfig,
-    load_category_schemas,
-    load_refiner_constraints,
-    summarize,
-)
 
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
-
-
-def _record_from_dict(d: dict) -> FunctionRecord:
-    fn = d["function"]
-    if not isinstance(fn, dict):
-        raise ValueError(f"record 'function' must be an object, not {type(fn).__name__}")
-    pre = fn.get("pre_extracted")
-    if pre is not None and not isinstance(pre, dict):
-        raise ValueError(
-            f"record 'function.pre_extracted' must be an object, not {type(pre).__name__}"
-        )
-    return FunctionRecord(
-        file_path=fn.get("file_path", ""),
-        source_text=fn.get("source_text"),
-        language=Language.from_string(fn.get("language", "unknown")),
-        pre_extracted=metadata_from_dict(pre) if pre is not None else None,
-    )
+def _read_jsonl(path: Path):
+    """Yield ``(line number, object)`` for each non-blank line of a JSON-lines
+    file; a line that is not a JSON object is a ``ValueError`` naming the
+    file and line."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path} line {line_no}: not valid JSON ({e})") from None
+            if not isinstance(record, dict):
+                raise ValueError(f"{path} line {line_no}: record is not an object")
+            yield line_no, record
 
 
 def _load_corpus_records(path: Path) -> list[dict]:
     records = []
     seen_ids = set()
-    for line_no, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise ValueError(f"line {line_no}: record is not an object")
+    for line_no, record in _read_jsonl(path):
         record_id = record.get("id")
-        if not record_id:
-            raise ValueError(f"line {line_no}: record without id")
+        if not record_id or isinstance(record_id, (list, dict)):
+            raise ValueError(f"{path} line {line_no}: record without a string or number id")
         if record_id in seen_ids:
-            raise ValueError(f"line {line_no}: duplicate id {record_id!r}")
+            raise ValueError(f"{path} line {line_no}: duplicate id {record_id!r}")
         seen_ids.add(record_id)
         records.append(record)
     return records
@@ -98,7 +81,18 @@ def _load_package_docs(corpus: Path) -> list[PackageDoc]:
                     docs.append(PackageDoc(path_context=file.stem, text=text))
     elif corpus.is_file():
         manifest = json.loads(corpus.read_text(encoding="utf-8"))
-        for item in manifest:
+        if not isinstance(manifest, list):
+            raise ValueError(f"manifest {corpus} is not a list")
+        for n, item in enumerate(manifest):
+            if not (
+                isinstance(item, dict)
+                and isinstance(item.get("path_context"), str)
+                and isinstance(item.get("text"), str)
+            ):
+                raise ValueError(
+                    f"manifest {corpus} item {n}: not an object with string "
+                    "'path_context' and 'text'"
+                )
             docs.append(
                 PackageDoc(path_context=item["path_context"], text=item["text"])
             )
@@ -110,23 +104,19 @@ def cmd_kb_build(args) -> int:
     if not corpus.exists():
         _log(f"error: corpus {corpus} does not exist")
         return 2
-    try:
-        docs = _load_package_docs(corpus)
-        client = config_module.build_client(
-            config_module.LlmSettings(
-                backend=args.backend,
-                mock_script_path=args.mock_script,
-                api_base=args.api_base,
-                api_key=args.api_key,
-                model=args.model,
-            )
+    docs = _load_package_docs(corpus)
+    client = config_module.build_client(
+        config_module.LlmSettings(
+            backend=args.backend,
+            mock_script_path=args.mock_script,
+            api_base=args.api_base,
+            api_key=args.api_key,
+            model=args.model,
         )
-        if not docs:
-            raise EmptyCorpus(f"empty corpus: {corpus}")
-        model, entries = build_knowledge_base(docs, client)
-    except (EmptyCorpus, ClientFailure, ConfigError, ValueError, OSError) as e:
-        _log(f"error: {e}")
-        return 1
+    )
+    if not docs:
+        raise EmptyCorpus(f"empty corpus: {corpus}")
+    model, entries = build_knowledge_base(docs, client)
     save_knowledge_base(args.out, model, entries)
     terms = {e.term for e in entries}
     _log(
@@ -142,120 +132,54 @@ def cmd_extract(args) -> int:
         if args.dmt_keys
         else DmtConfig()
     )
-    try:
-        if args.record:
-            record = _record_from_dict(
-                json.loads(Path(args.record).read_text(encoding="utf-8"))
-            )
-        else:
-            record = FunctionRecord(
-                file_path=args.source,
-                source_text=Path(args.source).read_text(encoding="utf-8"),
-                language=Language.from_string(args.lang or "unknown"),
-            )
-        metadata = model_function(record, dmt_config)
-    except (ExpSumError, ValueError, OSError, KeyError, json.JSONDecodeError) as e:
-        _log(f"error: {type(e).__name__}: {e}")
-        return 1
+    if args.record:
+        data = json.loads(Path(args.record).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.record}: record is not an object")
+        record = FunctionRecord.from_dict(data["function"])
+    else:
+        record = FunctionRecord(
+            file_path=args.source,
+            source_text=Path(args.source).read_text(encoding="utf-8"),
+            language=Language.from_string(args.lang or "unknown"),
+        )
+    metadata = model_function(record, dmt_config)
     print(json.dumps(metadata_to_dict(metadata), indent=2, ensure_ascii=False))
     return 0
 
 
 def cmd_check(args) -> int:
-    try:
-        dictionary = load_dictionary(
-            args.dictionary
-            or config_module.packaged_data_path("uninformative_dictionary.txt")
-        )
-        metadata = deserialize_metadata(
-            Path(args.metadata).read_text(encoding="utf-8")
-        )
-        report = check_metadata(metadata, dictionary)
-    except (ExpSumError, ValueError, OSError, json.JSONDecodeError) as e:
-        _log(f"error: {type(e).__name__}: {e}")
-        return 1
+    dictionary = load_dictionary(
+        args.dictionary
+        or config_module.packaged_data_path("uninformative_dictionary.txt")
+    )
+    metadata = deserialize_metadata(Path(args.metadata).read_text(encoding="utf-8"))
+    report = check_metadata(metadata, dictionary)
     print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     return 0
 
 
 def cmd_retrieve(args) -> int:
-    try:
-        metadata = deserialize_metadata(
-            Path(args.metadata).read_text(encoding="utf-8")
-        )
-        kb = load_knowledge_base(args.kb)
-        cfg = RetrievalConfig(
-            path_overlap_threshold=args.path_threshold,
-            top_n=args.top_n,
-            token_overlap_threshold=args.token_threshold,
-        )
-        result = retrieve(query_from_metadata(metadata), kb, cfg)
-    except (ExpSumError, ValueError, OSError, json.JSONDecodeError) as e:
-        _log(f"error: {type(e).__name__}: {e}")
-        return 1
+    metadata = deserialize_metadata(Path(args.metadata).read_text(encoding="utf-8"))
+    kb = load_knowledge_base(args.kb)
+    cfg = RetrievalConfig(
+        path_overlap_threshold=args.path_threshold,
+        top_n=args.top_n,
+        token_overlap_threshold=args.token_threshold,
+    )
+    result = retrieve(query_from_metadata(metadata), kb, cfg)
     print(json.dumps(result.to_dict(), indent=2, ensure_ascii=False))
     return 0
 
 
-def _summarize_one(record: dict, shared) -> dict:
-    cfg, dictionary, kb, client, summarizer_cfg = shared
-    record_id = record["id"]
-    try:
-        function_record = _record_from_dict(record)
-        metadata = model_function(function_record, cfg.dmt_config())
-        checked = check_metadata(metadata, dictionary).retained
-        retrieval_result = retrieve(
-            query_from_metadata(checked), kb, cfg.retrieval
-        )
-        result = summarize(checked, retrieval_result, client, summarizer_cfg)
-    except (ExpSumError, ValueError, KeyError) as e:
-        _log(f"warning: record {record_id!r} failed: {type(e).__name__}: {e}")
-        return {"id": record_id, "error": type(e).__name__}
-    return {
-        "id": record_id,
-        "final_summary": result.final_summary,
-        "category": result.category.value,
-        "retrieved_terms": result.retrieved_terms,
-        "iterations": result.iterations,
-        "degraded": result.degraded,
-    }
-
-
 def cmd_summarize(args) -> int:
-    cli_overrides = {
-        "workers": args.workers,
-        "backend": args.backend,
-        "mock_script": args.mock_script,
-        "api_base": args.api_base,
-        "api_key": args.api_key,
-        "model": args.model,
-    }
-    try:
-        cfg = config_module.load_pipeline_config(args.config, cli=cli_overrides)
-        dictionary = load_dictionary(cfg.dictionary_path)
-        kb = load_knowledge_base(cfg.kb_path)
-        client = config_module.build_client(cfg.llm)
-        summarizer_cfg = SummarizerConfig(
-            schemas=load_category_schemas(cfg.schema_dir),
-            refiner_constraints=load_refiner_constraints(
-                cfg.refiner_constraints_path
-            ),
-            max_iterations=cfg.max_iterations,
-            max_parse_retries=cfg.max_parse_retries,
-        )
-        records = _load_corpus_records(Path(args.corpus))
-    except (ExpSumError, ValueError, OSError, json.JSONDecodeError) as e:
-        _log(f"error: {type(e).__name__}: {e}")
-        return 1
+    cfg = config_module.load_pipeline_config(args.config, cli=vars(args))
+    pipeline = Pipeline.from_config(cfg)
+    records = _load_corpus_records(Path(args.corpus))
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = list(pool.map(pipeline.run, records))
 
-    shared = (cfg, dictionary, kb, client, summarizer_cfg)
-    if cfg.workers == 1:
-        results = [_summarize_one(r, shared) for r in records]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda r: _summarize_one(r, shared), records))
-
-    lines = [_dump(r) for r in results]
+    lines = [json.dumps(r, sort_keys=True, ensure_ascii=False) for r in results]
     Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     failures = sum(1 for r in results if "error" in r)
     _log(
@@ -267,12 +191,7 @@ def cmd_summarize(args) -> int:
 
 def _load_jsonl_field(path: Path, *keys: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise ValueError(f"{path} line {line_no}: record is not an object")
+    for _, record in _read_jsonl(path):
         record_id = record.get("id")
         if record_id is None:
             continue
@@ -284,26 +203,21 @@ def _load_jsonl_field(path: Path, *keys: str) -> dict[str, str]:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        generated = _load_jsonl_field(
-            Path(args.generated), "candidate", "final_summary", "summary"
-        )
-        references = _load_jsonl_field(
-            Path(args.references), "reference", "reference_summary"
-        )
-        joinable = sorted(set(generated) & set(references))
-        if not joinable:
-            _log("error: zero joinable ids between generated and references")
-            return 1
-        pairs = [
-            (item_id, ScorePair(candidate=generated[item_id], reference=references[item_id]))
-            for item_id in joinable
-        ]
-        report = evaluate_corpus(pairs)
-    except (ExpSumError, ValueError, OSError, json.JSONDecodeError) as e:
-        _log(f"error: {type(e).__name__}: {e}")
+    generated = _load_jsonl_field(
+        Path(args.generated), "candidate", "final_summary", "summary"
+    )
+    references = _load_jsonl_field(
+        Path(args.references), "reference", "reference_summary"
+    )
+    joinable = sorted(set(generated) & set(references))
+    if not joinable:
+        _log("error: zero joinable ids between generated and references")
         return 1
-
+    pairs = [
+        (item_id, ScorePair(candidate=generated[item_id], reference=references[item_id]))
+        for item_id in joinable
+    ]
+    report = evaluate_corpus(pairs)
     Path(args.report).write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -341,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="directory of .txt docs or a JSON manifest")
     p.add_argument("--out", required=True, help="output knowledge base JSON")
     _add_llm_flags(p)
-    p.set_defaults(func=cmd_kb_build)
+    p.set_defaults(func=cmd_kb_build, backend="mock")
 
     p = sub.add_parser("extract", help="model a function into metadata JSON")
     group = p.add_mutually_exclusive_group(required=True)
@@ -383,9 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "kb-build" and args.backend is None:
-        args.backend = "mock"
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ExpSumError, ValueError, OSError, KeyError) as e:
+        _log(f"error: {type(e).__name__}: {e}")
+        return 1
 
 
 if __name__ == "__main__":

@@ -163,6 +163,24 @@ class FunctionRecord:
                 "FunctionRecord needs source_text or pre_extracted"
             )
 
+    @classmethod
+    def from_dict(cls, fn: Any) -> "FunctionRecord":
+        """Parse a corpus record's ``function`` object; a value of the wrong
+        shape is a ``ValueError`` (see :func:`metadata_from_dict`)."""
+        if not isinstance(fn, dict):
+            raise ValueError(f"record 'function' must be an object, not {type(fn).__name__}")
+        pre = fn.get("pre_extracted")
+        if pre is not None and not isinstance(pre, dict):
+            raise ValueError(
+                f"record 'function.pre_extracted' must be an object, not {type(pre).__name__}"
+            )
+        return cls(
+            file_path=_string(fn, "file_path", "", "function.file_path"),
+            source_text=_string(fn, "source_text", None, "function.source_text"),
+            language=Language.from_string(_string(fn, "language", "unknown", "function.language")),
+            pre_extracted=metadata_from_dict(pre) if pre is not None else None,
+        )
+
 
 def metadata_to_dict(m: MetadataSet) -> dict[str, Any]:
     """Canonical dict form: table field order, ``None`` fields omitted,

@@ -380,7 +380,10 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     share its text and vector object.
 
     Raises :class:`MalformedKnowledgeBase` for text that is not a well-formed
-    format-3 knowledge base, files of an older format included.
+    format-3 knowledge base, files of an older format included, and for a
+    model whose values ``idf`` cannot use: ``doc_count`` or a frequency
+    below 1, a negative or non-finite ``alpha``, or a vocabulary token without
+    a frequency.
     """
     try:
         payload = json.loads(text)
@@ -411,6 +414,16 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
         raise MalformedKnowledgeBase(
             f"'model' lacks a key or has an ill-typed value ({type(e).__name__}: {e})"
         ) from None
+    # idf() divides by doc_frequency + alpha and takes the log of doc_count
+    if model.doc_count < 1:
+        raise MalformedKnowledgeBase(f"'model' 'doc_count' {model.doc_count} is below 1")
+    if min(model.doc_frequency.values(), default=1) < 1:
+        raise MalformedKnowledgeBase("'model' 'doc_frequency' holds a count below 1")
+    if not 0.0 <= model.alpha < math.inf:
+        raise MalformedKnowledgeBase(f"'model' 'alpha' {model.alpha} is negative or not finite")
+    if not model.vocabulary.keys() <= model.doc_frequency.keys():
+        missing = next(k for k in model.vocabulary if k not in model.doc_frequency)
+        raise MalformedKnowledgeBase(f"'model' 'doc_frequency' lacks vocabulary token {missing!r}")
     contexts: list[str] = []
     texts: list[str] = []
     vectors: list[SparseVector] = []

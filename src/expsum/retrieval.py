@@ -18,7 +18,7 @@ from .knowledge_base import (
     TfIdfModel,
     cosine_similarity,
     encode_tfidf,
-    split_camel,
+    tokenize,
 )
 
 _PATH_DELIMITERS = ("/", ".", "@")
@@ -175,15 +175,6 @@ def stage2_rank(
     )
 
 
-def term_tokens(term: str) -> list[str]:
-    """Lowercased tokens of a term, split on whitespace and camel-case
-    boundaries."""
-    tokens: list[str] = []
-    for word in term.split():
-        tokens.extend(seg.lower() for seg in split_camel(word))
-    return tokens
-
-
 def _counter_overlap(tokens_i: Counter, tokens_j: Counter) -> float:
     longer = max(sum(tokens_i.values()), sum(tokens_j.values()))
     if longer == 0:
@@ -194,7 +185,7 @@ def _counter_overlap(tokens_i: Counter, tokens_j: Counter) -> float:
 
 def token_overlap(t_i: str, t_j: str) -> float:
     """Shared-token ratio between two terms, relative to the longer term."""
-    return _counter_overlap(Counter(term_tokens(t_i)), Counter(term_tokens(t_j)))
+    return _counter_overlap(Counter(tokenize(t_i)), Counter(tokenize(t_j)))
 
 
 def stage3_dedup(terms: list[str], cfg: RetrievalConfig) -> list[str]:
@@ -202,7 +193,7 @@ def stage3_dedup(terms: list[str], cfg: RetrievalConfig) -> list[str]:
     sufficiently overlapping (:func:`token_overlap`), strictly shorter (by
     characters) variant of another term. Survivors keep their original
     order."""
-    tokens = {term: Counter(term_tokens(term)) for term in terms}
+    tokens = {term: Counter(tokenize(term)) for term in terms}
     return [
         t_i
         for t_i in tokens

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from expsum import pipeline as pipeline_module
 from expsum.cli import main
 from expsum.config import load_pipeline_config, resolve_setting
 from expsum.errors import ConfigError
@@ -79,6 +80,24 @@ class TestKbBuild:
         build_kb(fixture_paths)
         assert fixture_paths["kb"].read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "manifest, expected",
+        [
+            ({"a": 1}, "is not a list"),
+            ([{"text": "x"}], "item 0: not an object with string 'path_context' and 'text'"),
+            ([{"path_context": "p", "text": "x"}, 3], "item 1: not an object"),
+        ],
+        ids=["object", "missing-key", "non-object-item"],
+    )
+    def test_ill_shaped_manifest_is_one_error_line(self, tmp_path, capsys, manifest, expected):
+        path = tmp_path / "docs.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["kb-build", str(path), "--out", str(tmp_path / "kb.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: manifest {path} ")
+        assert expected in err and err.count("\n") == 1
+        assert not (tmp_path / "kb.json").exists()
+
 
 class TestExtractAndCheck:
     def test_extract_from_source(self, tmp_path, capsys):
@@ -114,6 +133,22 @@ class TestExtractAndCheck:
         assert main(["extract", "--record", str(path), "--dmt-keys", "@usage"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["dmt"] == {"@usage": "f()"}
+
+    @pytest.mark.parametrize(
+        "record, expected",
+        [
+            ([1], "record is not an object"),
+            ({"function": {"file_path": "a.ts", "source_text": "", "language": 5}},
+             "metadata field 'function.language' must be a string"),
+        ],
+        ids=["non-object", "ill-typed-language"],
+    )
+    def test_extract_ill_shaped_record(self, tmp_path, capsys, record, expected):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert main(["extract", "--record", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and expected in err
 
     def test_check_roundtrip(self, tmp_path, capsys):
         metadata = {
@@ -276,7 +311,16 @@ class TestSummarizeCommand:
             EXPECTED_SUMMARIES["battery-level"]["final_summary"]
         )
 
-    @pytest.mark.parametrize("function", ["oops", {"pre_extracted": "oops"}])
+    @pytest.mark.parametrize(
+        "function",
+        [
+            "oops",
+            {"pre_extracted": "oops"},
+            {"file_path": "a.ts", "source_text": "function f() {}", "language": 5},
+            {"file_path": 5, "source_text": "function f() {}"},
+            {"file_path": "a.ts", "source_text": 5},
+        ],
+    )
     def test_non_object_function_is_a_record_error(self, fixture_paths, function):
         build_kb(fixture_paths)
         fixture_paths["corpus"].write_text(
@@ -313,6 +357,55 @@ class TestSummarizeCommand:
             capsys.readouterr().err
         )
 
+    def test_client_exception_is_a_record_error(self, fixture_paths, capsys, monkeypatch):
+        build_kb(fixture_paths)
+        real_build_client = pipeline_module.build_client
+
+        def failing_client(settings):
+            client = real_build_client(settings)
+
+            class Client:
+                def complete(self, request):
+                    if "copySessionData" in request.user_prompt:
+                        raise RuntimeError("backend exploded")
+                    return client.complete(request)
+
+            return Client()
+
+        monkeypatch.setattr(pipeline_module, "build_client", failing_client)
+        capsys.readouterr()
+        _, lines = self.run_summarize(fixture_paths)
+        by_id = {line["id"]: line for line in lines}
+        assert by_id.pop("copy-session") == {"id": "copy-session", "error": "RuntimeError"}
+        for record_id, line in by_id.items():
+            assert line["final_summary"] == EXPECTED_SUMMARIES[record_id]["final_summary"]
+        assert "warning: record 'copy-session' failed: RuntimeError: backend exploded\n" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ("{not json", "line 4: not valid JSON (Expecting property name"),
+            ('{"id": [1], "function": {}}', "line 4: record without a string or number id"),
+            ('{"id": "battery-level"}', "line 4: duplicate id 'battery-level'"),
+        ],
+        ids=["not-json", "list-id", "duplicate-id"],
+    )
+    def test_bad_corpus_line_is_one_error_line(self, fixture_paths, capsys, line, expected):
+        build_kb(fixture_paths)
+        with open(fixture_paths["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        out = fixture_paths["config"].parent / "out.jsonl"
+        argv = ["summarize", str(fixture_paths["corpus"]),
+                "--config", str(fixture_paths["config"]), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {fixture_paths['corpus']} {expected}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_object_line_is_one_error_line(self, fixture_paths, capsys):
         build_kb(fixture_paths)
         capsys.readouterr()
@@ -322,7 +415,9 @@ class TestSummarizeCommand:
                 "--config", str(fixture_paths["config"]), "--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: ValueError: line 1: record is not an object\n"
+        assert err == (
+            f"error: ValueError: {fixture_paths['corpus']} line 1: record is not an object\n"
+        )
 
     def test_worker_counts_agree(self, fixture_paths):
         build_kb(fixture_paths)

@@ -406,6 +406,13 @@ class TestLoadErrors:
             (broken(lambda p: p["model"].pop("alpha")), "'model' lacks a key"),
             (broken(set_in(("model", "vocabulary"), {"a": "x"})), "ill-typed"),
             (broken(set_in(("model", "doc_count"), 1e400)), "ill-typed"),
+            (broken(set_in(("model", "doc_count"), 0)), "'doc_count' 0 is below 1"),
+            (broken(set_in(("model", "doc_frequency", "media"), 0)), "a count below 1"),
+            (broken(set_in(("model", "alpha"), -0.5)), "'alpha' -0.5 is negative"),
+            (broken(set_in(("model", "alpha"), float("inf"))), "or not finite"),
+            (broken(set_in(("model", "alpha"), float("nan"))), "or not finite"),
+            (broken(set_in(("model", "vocabulary", "battery"), 1)),
+             "'doc_frequency' lacks vocabulary token 'battery'"),
             (broken(lambda p: p["docs"].append(3)), "docs[1] is not an object"),
             (broken(lambda p: p["docs"][0].pop("text")), "docs[0] 'text' is missing"),
             (broken(lambda p: p["docs"][0].pop("indices")), "docs[0] 'indices' is missing"),
@@ -451,14 +458,17 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def knowledge_bases(draw):
-    """A model plus entries in any order over a few docs; docs share path
-    contexts, texts and vector contents, and some entries carry their own
-    copy of their doc's vector, as hand-built entries may."""
+    """A valid model plus entries in any order over a few docs; docs share
+    path contexts, texts and vector contents, and some entries carry their
+    own copy of their doc's vector, as hand-built entries may."""
+    doc_frequency = draw(st.dictionaries(names, st.integers(1, 100), max_size=4))
     model = TfIdfModel(
-        vocabulary=draw(st.dictionaries(names, st.integers(0, 50), max_size=4)),
+        vocabulary=draw(
+            st.dictionaries(st.sampled_from(sorted(doc_frequency)), st.integers(0, 50))
+        ) if doc_frequency else {},
         doc_count=draw(st.integers(1, 100)),
-        doc_frequency=draw(st.dictionaries(names, st.integers(0, 100), max_size=4)),
-        alpha=draw(finite),
+        doc_frequency=doc_frequency,
+        alpha=draw(st.floats(min_value=0.0, allow_infinity=False)),
     )
     contexts = draw(st.lists(names.filter(bool), min_size=1, max_size=3))
     texts = draw(st.lists(names, min_size=1, max_size=3))
