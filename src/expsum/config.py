@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -73,12 +74,37 @@ def _resolve_path(base_dir: Path, value: Optional[str]) -> Optional[str]:
     return str(path)
 
 
+#: The JSON types a config value of each kind may have; ``null`` counts as
+#: unset for strings only, and ``bool`` is no number.
+_KINDS = {
+    "an object": (dict,),
+    "a list": (list,),
+    "a string": (str, type(None)),
+    "an integer": (int,),
+    "a finite number": (int, float),
+}
+
+
+def _get(section: Mapping, key: str, kind: str, default, where: str = ""):
+    """``section[key]``, or ``default`` when absent, if it is of ``kind``;
+    otherwise a :class:`ConfigError` naming the key."""
+    value = section.get(key, default)
+    if type(value) not in _KINDS[kind] or (
+        kind == "a finite number" and not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError(f"config {where}{key!r} must be {kind} (got {value!r:.40})")
+    return value
+
+
 def load_pipeline_config(
     path: str | Path,
     cli: Optional[Mapping[str, Any]] = None,
     env: Optional[Mapping[str, str]] = None,
 ) -> PipelineConfig:
-    """Load and validate a JSON config file, applying setting precedence."""
+    """Load and validate a JSON config file, applying setting precedence.
+
+    A section or value of the wrong JSON type is a :class:`ConfigError`
+    naming its key."""
     cli = cli or {}
     env = env if env is not None else os.environ
     path = Path(path)
@@ -92,70 +118,63 @@ def load_pipeline_config(
         raise ConfigError("config must be a JSON object")
 
     base_dir = path.parent
-    kb_path = _resolve_path(base_dir, raw.get("kb_path"))
+
+    def file_path(key: str, *default: str) -> Optional[str]:
+        value = _resolve_path(base_dir, _get(raw, key, "a string", None))
+        return value or (str(packaged_data_path(*default)) if default else None)
+
+    def section(name: str):
+        """A getter of the typed values of section ``name``."""
+        values = _get(raw, name, "an object", {})
+        return lambda key, kind, default=None: _get(values, key, kind, default, f"{name!r} ")
+
+    kb_path = file_path("kb_path")
     if kb_path is None:
         raise ConfigError("config must set kb_path")
-    dictionary_path = _resolve_path(base_dir, raw.get("dictionary_path")) or str(
-        packaged_data_path("uninformative_dictionary.txt")
-    )
-    schema_dir = _resolve_path(base_dir, raw.get("schema_dir")) or str(
-        packaged_data_path("schemas")
-    )
-    constraints_path = _resolve_path(
-        base_dir, raw.get("refiner_constraints_path")
-    ) or str(packaged_data_path("refiner_constraints.json"))
-
-    retrieval_raw = raw.get("retrieval", {})
+    retrieval, summarizer, llm = section("retrieval"), section("summarizer"), section("llm")
     try:
-        retrieval = RetrievalConfig(
-            path_overlap_threshold=float(
-                retrieval_raw.get("path_overlap_threshold", 0.75)
-            ),
-            top_n=int(retrieval_raw.get("top_n", 9)),
-            token_overlap_threshold=float(
-                retrieval_raw.get("token_overlap_threshold", 0.75)
-            ),
+        retrieval_cfg = RetrievalConfig(
+            path_overlap_threshold=float(retrieval("path_overlap_threshold", "a finite number", 0.75)),
+            top_n=retrieval("top_n", "an integer", 9),
+            token_overlap_threshold=float(retrieval("token_overlap_threshold", "a finite number", 0.75)),
         )
     except ValueError as e:
         raise ConfigError(f"invalid retrieval settings: {e}") from e
-
-    summarizer_raw = raw.get("summarizer", {})
-    llm_raw = raw.get("llm", {})
-    llm = LlmSettings(
-        backend=str(cli.get("backend") or llm_raw.get("backend", "mock")),
+    llm_settings = LlmSettings(
+        backend=resolve_setting(cli.get("backend"), None, llm("backend", "a string"), "mock"),
         mock_script_path=resolve_setting(
             _resolve_path(Path.cwd(), cli.get("mock_script")),
             None,
-            _resolve_path(base_dir, llm_raw.get("mock_script_path")),
+            _resolve_path(base_dir, llm("mock_script_path", "a string")),
         ),
         api_base=resolve_setting(
-            cli.get("api_base"), env.get(ENV_API_BASE), llm_raw.get("api_base")
+            cli.get("api_base"), env.get(ENV_API_BASE), llm("api_base", "a string")
         ),
         api_key=resolve_setting(
-            cli.get("api_key"), env.get(ENV_API_KEY), llm_raw.get("api_key")
+            cli.get("api_key"), env.get(ENV_API_KEY), llm("api_key", "a string")
         ),
-        model=resolve_setting(
-            cli.get("model"), env.get(ENV_MODEL), llm_raw.get("model")
-        ),
-        timeout=float(llm_raw.get("timeout", 120.0)),
-        retries=int(llm_raw.get("retries", 2)),
+        model=resolve_setting(cli.get("model"), env.get(ENV_MODEL), llm("model", "a string")),
+        timeout=float(llm("timeout", "a finite number", 120.0)),
+        retries=llm("retries", "an integer", 2),
     )
-
-    workers = int(resolve_setting(cli.get("workers"), None, raw.get("workers"), 1))
+    workers = resolve_setting(cli.get("workers"), None, _get(raw, "workers", "an integer", 1))
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    dmt_keys = _get(raw, "dmt_keys", "a list", list(DEFAULT_DMT_KEYS))
+    if not all(type(key) is str for key in dmt_keys):
+        raise ConfigError("config 'dmt_keys' must be a list of strings")
 
     cfg = PipelineConfig(
         kb_path=kb_path,
-        dictionary_path=dictionary_path,
-        schema_dir=schema_dir,
-        refiner_constraints_path=constraints_path,
-        retrieval=retrieval,
-        max_iterations=int(summarizer_raw.get("max_iterations", 3)),
-        max_parse_retries=int(summarizer_raw.get("max_parse_retries", 1)),
-        llm=llm,
+        dictionary_path=file_path("dictionary_path", "uninformative_dictionary.txt"),
+        schema_dir=file_path("schema_dir", "schemas"),
+        refiner_constraints_path=file_path("refiner_constraints_path", "refiner_constraints.json"),
+        retrieval=retrieval_cfg,
+        max_iterations=summarizer("max_iterations", "an integer", 3),
+        max_parse_retries=summarizer("max_parse_retries", "an integer", 1),
+        llm=llm_settings,
         workers=workers,
-        dmt_keys=tuple(raw.get("dmt_keys", DEFAULT_DMT_KEYS)),
+        dmt_keys=tuple(dmt_keys),
     )
 
     for name in ("kb_path", "dictionary_path", "schema_dir", "refiner_constraints_path"):
@@ -171,6 +190,10 @@ def load_pipeline_config(
         raise ConfigError("max_iterations must be >= 1")
     if cfg.max_parse_retries < 0:
         raise ConfigError("max_parse_retries must be >= 0")
+    if cfg.llm.timeout <= 0:  # the HTTP stack refuses it on every call
+        raise ConfigError("timeout must be > 0")
+    if cfg.llm.retries < 0:
+        raise ConfigError("retries must be >= 0")
     return cfg
 
 

@@ -10,11 +10,15 @@ synonym substitution would change sentence meaning, judged by an LLM).
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import re
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .errors import ClientFailure, EmptyCorpus, IoFailure, MalformedKnowledgeBase
@@ -313,18 +317,47 @@ def build_knowledge_base(
 # -- persistence -------------------------------------------------------------
 
 #: Version of the saved file layout; files of any other version are refused.
-KB_FORMAT = 3
+KB_FORMAT = 4
+
+#: The packed columns' ``array`` codes, with the width in bytes and the
+#: meaning of one item. Columns are little-endian on every host.
+_ITEMS = {"I": (4, "an unsigned 32-bit integer"), "d": (8, "a 64-bit float")}
+if any(array(code).itemsize != width for code, (width, _) in _ITEMS.items()):
+    raise ImportError("expsum needs 4-byte 'I' and 8-byte 'd' arrays")
+
+
+def _pack(code: str, values: list, what: str) -> str:
+    """``values`` as a little-endian ``code`` column, base64-encoded.
+
+    Raises ``ValueError`` naming ``what`` for a value that does not fit."""
+    try:
+        column = array(code, values)
+    except (OverflowError, TypeError) as e:
+        raise ValueError(
+            f"cannot save the knowledge base: {what} is not {_ITEMS[code][1]} ({e})"
+        ) from None
+    if sys.byteorder == "big":
+        column.byteswap()
+    return base64.b64encode(column.tobytes()).decode("ascii")
 
 
 def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
-    """Render the knowledge base as format-3 JSON.
+    """Render the knowledge base as format-4 JSON.
 
-    ``docs`` lists each distinct (path context, text, vector) once, in order
-    of first use by an entry, with the vector as ascending ``indices`` and
-    their ``weights``; ``entries`` holds two parallel arrays, each entry's
-    term and the index of its doc.
+    ``docs`` holds one column per field over each distinct (path context,
+    text, vector) in order of first use by an entry: ``path_contexts`` and
+    ``texts``, each vector's entry count in ``sizes``, and all vectors'
+    ascending ``indices`` and their ``weights`` end to end. ``entries``
+    holds each entry's term and the index of its doc. Numeric columns are
+    packed little-endian (``sizes``, ``indices`` and entry ``docs`` as
+    unsigned 32-bit integers, ``weights`` as 64-bit floats) and
+    base64-encoded; a value that does not fit raises ``ValueError``.
     """
-    docs: list[dict] = []
+    contexts: list[str] = []
+    texts: list[str] = []
+    sizes: list[int] = []
+    indices: list[int] = []
+    weights: list[float] = []
     doc_index: dict[tuple, int] = {}
     sorted_items: dict[int, tuple] = {}  # id of a vector object -> its sorted items
     terms: list[str] = []
@@ -336,15 +369,12 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
         key = (e.path_context, e.documentation, items)
         index = doc_index.get(key)
         if index is None:
-            index = doc_index[key] = len(docs)
-            docs.append(
-                {
-                    "path_context": e.path_context,
-                    "text": e.documentation,
-                    "indices": [i for i, _ in items],
-                    "weights": [w for _, w in items],
-                }
-            )
+            index = doc_index[key] = len(contexts)
+            contexts.append(e.path_context)
+            texts.append(e.documentation)
+            sizes.append(len(items))
+            indices.extend(i for i, _ in items)
+            weights.extend(w for _, w in items)
         terms.append(e.term)
         refs.append(index)
     payload = {
@@ -355,8 +385,14 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
             "doc_frequency": model.doc_frequency,
             "alpha": model.alpha,
         },
-        "docs": docs,
-        "entries": {"terms": terms, "docs": refs},
+        "docs": {
+            "path_contexts": contexts,
+            "texts": texts,
+            "sizes": _pack("I", sizes, "a vector size"),
+            "indices": _pack("I", indices, "a vector index"),
+            "weights": _pack("d", weights, "a vector weight"),
+        },
+        "entries": {"terms": terms, "docs": _pack("I", refs, "a doc index")},
     }
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return text + "\n"
@@ -369,6 +405,23 @@ def _section(obj: dict, key: str, kind: type, where: str):
     return value
 
 
+def _column(obj: dict, key: str, code: str, where: str) -> array:
+    """Decode the base64 column ``obj[key]`` of little-endian ``code`` items."""
+    try:
+        data = base64.b64decode(_section(obj, key, str, where), validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise MalformedKnowledgeBase(f"{where}{key!r} is not valid base64 ({e})") from None
+    width = _ITEMS[code][0]
+    if len(data) % width:
+        raise MalformedKnowledgeBase(
+            f"{where}{key!r} holds {len(data)} bytes, not whole {width}-byte items"
+        )
+    column = array(code, data)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
 def _only(values: list, kinds: set) -> bool:
     """Whether every item of ``values`` is exactly of one of ``kinds``
     (``bool`` is not an ``int`` here)."""
@@ -376,11 +429,11 @@ def _only(values: list, kinds: set) -> bool:
 
 
 def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    """Parse format-3 JSON (see :func:`kb_to_json`); the entries of one doc
+    """Parse format-4 JSON (see :func:`kb_to_json`); the entries of one doc
     share its text and vector object.
 
     Raises :class:`MalformedKnowledgeBase` for text that is not a well-formed
-    format-3 knowledge base, files of an older format included, and for a
+    format-4 knowledge base, files of an older format included, and for a
     model whose values ``idf`` cannot use: ``doc_count`` or a frequency
     below 1, a negative or non-finite ``alpha``, or a vocabulary token without
     a frequency.
@@ -399,10 +452,16 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
             f"{found}, expected format {KB_FORMAT}; rebuild it with `expsum kb-build`"
         )
     m = _section(payload, "model", dict, "")
-    raw_docs = _section(payload, "docs", list, "")
+    raw_docs = _section(payload, "docs", dict, "")
     raw_entries = _section(payload, "entries", dict, "")
+    contexts = _section(raw_docs, "path_contexts", list, "'docs' ")
+    texts = _section(raw_docs, "texts", list, "'docs' ")
+    sizes = _column(raw_docs, "sizes", "I", "'docs' ")
+    indices = _column(raw_docs, "indices", "I", "'docs' ")
+    weights = _column(raw_docs, "weights", "d", "'docs' ")
     terms = _section(raw_entries, "terms", list, "'entries' ")
-    refs = _section(raw_entries, "docs", list, "'entries' ")
+    refs = _column(raw_entries, "docs", "I", "'entries' ")
+    del payload, raw_docs, raw_entries  # frees the base64 text of the columns
     try:
         model = TfIdfModel(
             vocabulary={k: int(v) for k, v in m["vocabulary"].items()},
@@ -424,43 +483,41 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     if not model.vocabulary.keys() <= model.doc_frequency.keys():
         missing = next(k for k in model.vocabulary if k not in model.doc_frequency)
         raise MalformedKnowledgeBase(f"'model' 'doc_frequency' lacks vocabulary token {missing!r}")
-    contexts: list[str] = []
-    texts: list[str] = []
+    if not len(contexts) == len(texts) == len(sizes):
+        raise MalformedKnowledgeBase(
+            f"'docs' has {len(contexts)} path contexts, {len(texts)} texts "
+            f"and {len(sizes)} sizes"
+        )
+    if not _only(contexts, {str}):
+        raise MalformedKnowledgeBase("'docs' 'path_contexts' holds a non-string")
+    if not _only(texts, {str}):
+        raise MalformedKnowledgeBase("'docs' 'texts' holds a non-string")
+    if sum(sizes) != len(indices):
+        raise MalformedKnowledgeBase(
+            f"'docs' 'sizes' add up to {sum(sizes)} but there are {len(indices)} indices"
+        )
+    if len(indices) != len(weights):
+        raise MalformedKnowledgeBase(
+            f"'docs' has {len(indices)} indices but {len(weights)} weights"
+        )
+    pairs = zip(indices, weights)
     vectors: list[SparseVector] = []
-    for n, d in enumerate(raw_docs):
-        where = f"docs[{n}] "
-        if not isinstance(d, dict):
-            raise MalformedKnowledgeBase(f"{where}is not an object")
-        contexts.append(_section(d, "path_context", str, where))
-        texts.append(_section(d, "text", str, where))
-        indices = _section(d, "indices", list, where)
-        weights = _section(d, "weights", list, where)
-        if len(indices) != len(weights):
-            raise MalformedKnowledgeBase(
-                f"{where}has {len(indices)} indices but {len(weights)} weights"
-            )
-        if not _only(indices, {int}):
-            raise MalformedKnowledgeBase(f"{where}'indices' holds a non-integer")
-        if not _only(weights, {float, int}):
-            raise MalformedKnowledgeBase(f"{where}'weights' holds a non-number")
-        vector = dict(zip(indices, map(float, weights)))
-        if len(vector) != len(indices):
-            raise MalformedKnowledgeBase(f"{where}'indices' repeats an index")
+    for n, size in enumerate(sizes):
+        vector = dict(islice(pairs, size))
+        if len(vector) != size:
+            raise MalformedKnowledgeBase(f"'docs' 'indices' repeats an index in doc {n}")
         vectors.append(SparseVector(vector))
-    del payload, raw_docs  # the index lists are garbage once the vectors exist
+    del pairs, indices, weights  # the columns are garbage once the vectors exist
     if len(terms) != len(refs):
         raise MalformedKnowledgeBase(
             f"'entries' has {len(terms)} terms but {len(refs)} doc indices"
         )
     if not _only(terms, {str}):
         raise MalformedKnowledgeBase("'entries' 'terms' holds a non-string")
-    if not _only(refs, {int}) or (refs and not 0 <= min(refs) <= max(refs) < len(vectors)):
-        n, index = next(
-            (n, i) for n, i in enumerate(refs)
-            if type(i) is not int or not 0 <= i < len(vectors)
-        )
+    if refs and max(refs) >= len(vectors):
+        n, index = next((n, i) for n, i in enumerate(refs) if i >= len(vectors))
         raise MalformedKnowledgeBase(
-            f"entries[{n}]: doc index {index!r} is invalid ({len(vectors)} docs)"
+            f"entries[{n}]: doc index {index} is invalid ({len(vectors)} docs)"
         )
     return model, list(
         map(

@@ -68,23 +68,43 @@ class MockScript:
     default: Optional[str] = None
 
     @classmethod
-    def from_json(cls, text: str) -> "MockScript":
-        data = json.loads(text)
+    def from_json(cls, text: str, source: str = "mock script") -> "MockScript":
+        """Parse a JSON list of ``{"match", "response"[, "regex"]}`` rules
+        and at most one ``{"default"}`` item, all strings.
+
+        A script of any other shape is a :class:`ConfigError` naming
+        ``source`` and the item."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{source} is not valid JSON: {e}") from None
         if not isinstance(data, list):
-            raise ConfigError("mock script must be a JSON list")
+            raise ConfigError(f"{source} must be a JSON list")
         rules = []
         default = None
-        for item in data:
+        for n, item in enumerate(data):
+            where = f"{source} item {n}"
+            if not isinstance(item, dict):
+                raise ConfigError(f"{where} is not an object")
             if "default" in item and "match" not in item:
                 default = item["default"]
+                if not isinstance(default, str):
+                    raise ConfigError(f"{where}: 'default' is not a string")
                 continue
-            rules.append(
-                MockRule(
-                    matcher=item["match"],
-                    response=item["response"],
-                    regex=bool(item.get("regex", False)),
-                )
+            for key in ("match", "response"):
+                if not isinstance(item.get(key), str):
+                    raise ConfigError(f"{where}: {key!r} is missing or not a string")
+            rule = MockRule(
+                matcher=item["match"],
+                response=item["response"],
+                regex=bool(item.get("regex", False)),
             )
+            if rule.regex:
+                try:
+                    re.compile(rule.matcher)
+                except re.error as e:
+                    raise ConfigError(f"{where}: 'match' is not a valid pattern ({e})") from None
+            rules.append(rule)
         return cls(rules=tuple(rules), default=default)
 
     @classmethod
@@ -93,7 +113,7 @@ class MockScript:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as e:
             raise IoFailure(f"cannot read mock script {path}: {e}") from e
-        return cls.from_json(text)
+        return cls.from_json(text, source=f"mock script {path}")
 
 
 class MockLlmClient:

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 from .code_model import FunctionRecord, model_function
 from .config import PipelineConfig, build_client
+from .errors import ConfigError
 from .knowledge_base import KnowledgeEntry, TfIdfModel, load_knowledge_base
 from .llm import LlmClient
 from .metadata_check import UninformativeDictionary, check_metadata, load_dictionary
@@ -34,7 +35,15 @@ class Pipeline:
     @classmethod
     def from_config(cls, cfg: PipelineConfig) -> "Pipeline":
         """Load the dictionary, knowledge base, client, schemas and refiner
-        constraints that ``cfg`` names; load errors propagate."""
+        constraints that ``cfg`` names; load errors propagate.
+
+        The mock backend needs a script here: without one it answers every
+        prompt with a judgment, which no draft parses."""
+        if cfg.llm.backend == "mock" and not cfg.llm.mock_script_path:
+            raise ConfigError(
+                "the mock backend needs a script to summarize: set 'llm' "
+                "'mock_script_path' in the config or pass --mock-script"
+            )
         return cls(
             cfg=cfg,
             dictionary=load_dictionary(cfg.dictionary_path),

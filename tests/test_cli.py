@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum import pipeline as pipeline_module
 from expsum.cli import main
@@ -32,6 +36,20 @@ V2_KB = json.dumps(
                   "doc_frequency": {"media": 1}, "alpha": 0.01},
         "docs": [{"path_context": "ohos.media", "text": "media", "vector": {"0": -0.00995}}],
         "entries": [{"term": "MediaKit", "doc": 0}],
+    }
+)
+
+
+# A knowledge base in the retired format 3, which stored one object per doc
+# with its vector as plain JSON number arrays.
+V3_KB = json.dumps(
+    {
+        "format": 3,
+        "model": {"vocabulary": {"media": 0}, "doc_count": 1,
+                  "doc_frequency": {"media": 1}, "alpha": 0.01},
+        "docs": [{"path_context": "ohos.media", "text": "media",
+                  "indices": [0], "weights": [-0.00995]}],
+        "entries": {"terms": ["MediaKit"], "docs": [0]},
     }
 )
 
@@ -189,15 +207,16 @@ class TestRetrieveCommand:
         kb_path.write_text(
             json.dumps(
                 {
-                    "format": 3,
+                    "format": 4,
                     "model": {
                         "vocabulary": {},
                         "doc_count": 1,
                         "doc_frequency": {},
                         "alpha": 0.01,
                     },
-                    "docs": [],
-                    "entries": {"terms": [], "docs": []},
+                    "docs": {"path_contexts": [], "texts": [], "sizes": "",
+                             "indices": "", "weights": ""},
+                    "entries": {"terms": [], "docs": ""},
                 }
             ),
             encoding="utf-8",
@@ -228,9 +247,10 @@ class TestBadKnowledgeBase:
         [
             ("{}", "no format field"),
             (V1_KB, "rebuild it with `expsum kb-build`"),
-            (V2_KB, "format 2, expected format 3; rebuild it with `expsum kb-build`"),
+            (V2_KB, "format 2, expected format 4; rebuild it with `expsum kb-build`"),
+            (V3_KB, "format 3, expected format 4; rebuild it with `expsum kb-build`"),
         ],
-        ids=["empty-object", "format-1", "format-2"],
+        ids=["empty-object", "format-1", "format-2", "format-3"],
     )
     def test_one_error_line_and_exit_1(
         self, fixture_paths, capsys, command, content, expected
@@ -253,6 +273,136 @@ class TestBadKnowledgeBase:
         assert err.startswith("error: MalformedKnowledgeBase: knowledge base ")
         assert str(fixture_paths["kb"]) in err
         assert expected in err
+
+
+def summarize_fails(paths, capsys, change=None, script=None):
+    """Run ``summarize`` after changing the fixture's config or mock script;
+    returns its one stderr line."""
+    build_kb(paths)
+    capsys.readouterr()
+    if change is not None:
+        config = json.loads(paths["config"].read_text(encoding="utf-8"))
+        change(config)
+        paths["config"].write_text(json.dumps(config), encoding="utf-8")
+    if script is not None:
+        paths["script"].write_text(script, encoding="utf-8")
+    out = paths["config"].parent / "out.jsonl"
+    argv = ["summarize", str(paths["corpus"]), "--config", str(paths["config"]), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
+class TestConfigTypes:
+    """A config section or value of the wrong JSON type is one ConfigError
+    line naming its key."""
+
+    @pytest.mark.parametrize(
+        "change, expected",
+        [
+            (lambda c: c.update(retrieval=5), "config 'retrieval' must be an object (got 5)"),
+            (lambda c: c.update(summarizer=5), "config 'summarizer' must be an object (got 5)"),
+            (lambda c: c.update(llm=5), "config 'llm' must be an object (got 5)"),
+            (lambda c: c.update(dmt_keys=5), "config 'dmt_keys' must be a list (got 5)"),
+            (lambda c: c.update(dmt_keys=["@since", 5]), "config 'dmt_keys' must be a list of strings"),
+            (lambda c: c["llm"].update(timeout=[1]), "config 'llm' 'timeout' must be a finite number (got [1])"),
+            (lambda c: c["llm"].update(retries=1.5), "config 'llm' 'retries' must be an integer (got 1.5)"),
+            (lambda c: c["llm"].update(backend=["mock"]), "config 'llm' 'backend' must be a string (got ['mock'])"),
+            (lambda c: c.update(workers="x"), "config 'workers' must be an integer (got 'x')"),
+            (lambda c: c.update(workers=True), "config 'workers' must be an integer (got True)"),
+            (lambda c: c.update(kb_path=5), "config 'kb_path' must be a string (got 5)"),
+            (lambda c: c["retrieval"].update(top_n="9"), "config 'retrieval' 'top_n' must be an integer (got '9')"),
+            (lambda c: c["retrieval"].update(path_overlap_threshold=None),
+             "config 'retrieval' 'path_overlap_threshold' must be a finite number (got None)"),
+            (lambda c: c["llm"].update(timeout=10**400),
+             "config 'llm' 'timeout' must be a finite number (got 1" + "0" * 39 + ")"),
+            (lambda c: c["llm"].update(timeout=0), "timeout must be > 0"),
+            (lambda c: c["llm"].update(retries=-1), "retries must be >= 0"),
+            (lambda c: c["summarizer"].update(max_iterations={}),
+             "config 'summarizer' 'max_iterations' must be an integer (got {})"),
+        ],
+        ids=[
+            "retrieval", "summarizer", "llm", "dmt-keys", "dmt-key-item", "llm-timeout",
+            "llm-retries", "llm-backend", "workers-str", "workers-bool", "kb-path",
+            "top-n", "path-threshold-null", "timeout-huge-int", "timeout-0",
+            "retries-negative", "max-iterations",
+        ],
+    )
+    def test_one_config_error_line(self, fixture_paths, capsys, change, expected):
+        err = summarize_fails(fixture_paths, capsys, change=change)
+        assert err == f"error: ConfigError: {expected}\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([0, 1, 0.5, 10**400, "mock", "http", "kb.json"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+SECTION_KEYS = {
+    "retrieval": ["path_overlap_threshold", "top_n", "token_overlap_threshold"],
+    "summarizer": ["max_iterations", "max_parse_retries"],
+    "llm": ["backend", "mock_script_path", "api_base", "api_key", "model", "timeout", "retries"],
+}
+TOP_KEYS = ["kb_path", "dictionary_path", "schema_dir", "refiner_constraints_path",
+            "workers", "dmt_keys", *SECTION_KEYS]
+
+
+@st.composite
+def configs(draw):
+    config = {"kb_path": "kb.json"}
+    for key in draw(st.lists(st.sampled_from(TOP_KEYS), max_size=4)):
+        if key in SECTION_KEYS and draw(st.booleans()):
+            keys = st.sampled_from(SECTION_KEYS[key])
+            config[key] = draw(st.dictionaries(keys, json_values, max_size=3))
+        else:
+            config[key] = draw(json_values)
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs())
+def test_config_loader_raises_only_config_error(config):
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "kb.json").write_text("{}", encoding="utf-8")
+        path = Path(root) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        try:
+            load_pipeline_config(path, env={})
+        except ConfigError as e:
+            assert "\n" not in str(e)
+
+
+class TestMockScriptShape:
+    @pytest.mark.parametrize(
+        "script, expected",
+        [
+            ('{"match": "a"}', "must be a JSON list"),
+            ('["oops"]', "item 0 is not an object"),
+            ('[{"response": "x"}]', "item 0: 'match' is missing or not a string"),
+            ('[{"match": "a", "response": "b"}, {"match": "a"}]',
+             "item 1: 'response' is missing or not a string"),
+            ('[{"match": 1, "response": "x"}]', "item 0: 'match' is missing or not a string"),
+            ('[{"match": "a", "response": null}]', "item 0: 'response' is missing or not a string"),
+            ('[{"default": 3}]', "item 0: 'default' is not a string"),
+            ('[{"match": "(", "response": "x", "regex": true}]', "item 0: 'match' is not a valid pattern"),
+            ("[oops", "is not valid JSON"),
+        ],
+        ids=["not-list", "item-not-object", "no-match", "no-response", "match-int",
+             "response-null", "default-int", "bad-pattern", "not-json"],
+    )
+    def test_one_config_error_line_naming_the_script(self, fixture_paths, capsys, script, expected):
+        err = summarize_fails(fixture_paths, capsys, script=script)
+        assert err.startswith(f"error: ConfigError: mock script {fixture_paths['script']}")
+        assert expected in err
+
+    def test_mock_backend_without_script_fails_fast(self, fixture_paths, capsys):
+        err = summarize_fails(
+            fixture_paths, capsys, change=lambda c: c["llm"].pop("mock_script_path")
+        )
+        assert err.startswith("error: ConfigError: the mock backend needs a script to summarize")
 
 
 class TestSummarizeCommand:

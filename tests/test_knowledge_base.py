@@ -1,7 +1,10 @@
+import base64
 import json
 import math
 import random
 import re
+import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -284,7 +287,22 @@ class TestBuildKnowledgeBase:
         assert entries2 == entries
 
 
-class TestFormat3:
+def u32s(column):
+    """Decode a packed unsigned 32-bit column byte by byte."""
+    data = base64.b64decode(column)
+    return [int.from_bytes(data[i:i + 4], "little") for i in range(0, len(data), 4)]
+
+
+def f64s(column):
+    data = base64.b64decode(column)
+    return list(struct.unpack(f"<{len(data) // 8}d", data))
+
+
+def packed(code, values):
+    return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
+
+
+class TestFormat4:
     def build(self, docs):
         return build_knowledge_base(docs, MockLlmClient(MockScript(default="preserved")))
 
@@ -295,9 +313,9 @@ class TestFormat3:
         save_knowledge_base(path, model, entries)
         text = path.read_text(encoding="utf-8")
         payload = json.loads(text)
-        assert payload["format"] == KB_FORMAT
+        assert payload["format"] == KB_FORMAT == 4
         distinct = {(d.path_context, d.text) for d in shared_context_docs}
-        assert len(payload["docs"]) == len(distinct) < len(shared_context_docs)
+        assert len(payload["docs"]["texts"]) == len(distinct) < len(shared_context_docs)
         for doc in shared_context_docs:
             assert text.count(json.dumps(doc.text, ensure_ascii=False)) == 1
         # one vector object per built doc, and per stored doc after loading
@@ -309,17 +327,81 @@ class TestFormat3:
     def test_docs_in_order_of_first_use(self, table_style_kb):
         model, entries = table_style_kb
         payload = json.loads(kb_to_json(model, entries[::-1]))
-        assert [d["path_context"] for d in payload["docs"]] == [
-            "ohos.data.rdb", "ohos.data.relationalStore",
-        ]
-        assert payload["entries"] == {"terms": ["RDBStore", "RDBStore"], "docs": [0, 1]}
+        assert payload["docs"]["path_contexts"] == ["ohos.data.rdb", "ohos.data.relationalStore"]
+        assert payload["entries"]["terms"] == ["RDBStore", "RDBStore"]
+        assert u32s(payload["entries"]["docs"]) == [0, 1]
 
     def test_vectors_are_ascending_indices_with_their_weights(self):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
-        v = SparseVector({7: 0.5, 2: 0.25, 4: -0.125})
-        doc = json.loads(kb_to_json(model, [KnowledgeEntry("T", "text", "ctx", v)]))["docs"][0]
-        assert doc["indices"] == [2, 4, 7]
-        assert doc["weights"] == [0.25, -0.125, 0.5]
+        entries = [
+            KnowledgeEntry("T", "text", "ctx", SparseVector({7: 0.5, 2: 0.25, 4: -0.125})),
+            KnowledgeEntry("U", "other", "ctx", SparseVector({1: 2.0})),
+            KnowledgeEntry("V", "empty", "ctx", SparseVector()),
+        ]
+        docs = json.loads(kb_to_json(model, entries))["docs"]
+        assert docs["texts"] == ["text", "other", "empty"]
+        assert u32s(docs["sizes"]) == [3, 1, 0]
+        assert u32s(docs["indices"]) == [2, 4, 7, 1]
+        assert f64s(docs["weights"]) == [0.25, -0.125, 0.5, 2.0]
+
+    def test_numeric_columns_are_little_endian_base64(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        v = SparseVector({1: 1.0, 256: -2.0})
+        payload = json.loads(kb_to_json(model, [KnowledgeEntry("T", "text", "ctx", v)]))
+        # 01 00 00 00 | 00 01 00 00
+        assert payload["docs"]["indices"] == "AQAAAAABAAA="
+        # 1.0 = 00 .. f0 3f, -2.0 = 00 .. 00 c0
+        assert base64.b64decode(payload["docs"]["weights"]) == bytes.fromhex(
+            "000000000000f03f" "00000000000000c0"
+        )
+        assert payload["docs"]["sizes"] == "AgAAAA=="
+        assert payload["entries"]["docs"] == "AAAAAA=="
+
+    def test_big_endian_hosts_swap_bytes_both_ways(self, monkeypatch):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        entries = [KnowledgeEntry("T", "text", "ctx", SparseVector({1: 1.0, 256: -2.0}))]
+        native = json.loads(kb_to_json(model, entries))["docs"]
+        monkeypatch.setattr(sys, "byteorder", "swapped" if sys.byteorder == "big" else "big")
+        text = kb_to_json(model, entries)
+        swapped = json.loads(text)["docs"]
+        for key, width in (("indices", 4), ("weights", 8)):
+            data = base64.b64decode(native[key])
+            items = [data[i:i + width][::-1] for i in range(0, len(data), width)]
+            assert base64.b64decode(swapped[key]) == b"".join(items)
+        assert kb_from_json(text)[1] == entries
+
+    def test_weights_are_bit_exact(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        weights = [-0.0, 5e-324, 1 / 3, -1.7976931348623157e308, 0.1 + 0.2, 2.0**-1074 * 3]
+        v = SparseVector(dict(enumerate(weights)))
+        loaded = kb_from_json(kb_to_json(model, [KnowledgeEntry("T", "t", "c", v)]))[1]
+        got = loaded[0].vector.entries
+        assert [got[i].hex() for i in range(len(weights))] == [w.hex() for w in weights]
+        assert math.copysign(1.0, got[0]) == -1.0
+
+    def test_integer_weights_load_as_floats(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        text = kb_to_json(model, [KnowledgeEntry("T", "t", "c", SparseVector({0: 1}))])
+        weight = kb_from_json(text)[1][0].vector.entries[0]
+        assert weight == 1.0 and type(weight) is float
+
+    @pytest.mark.parametrize(
+        "vector, expected",
+        [
+            (SparseVector({2**32: 1.0}), "a vector index is not an unsigned 32-bit integer"),
+            (SparseVector({-1: 1.0}), "a vector index is not an unsigned 32-bit integer"),
+            (SparseVector({0: 1.0, 1.5: 1.0}), "a vector index is not an unsigned 32-bit"),
+            (SparseVector({0: "x"}), "a vector weight is not a 64-bit float"),
+            (SparseVector({0: 10**400}), "a vector weight is not a 64-bit float"),
+        ],
+        ids=["u32-overflow", "negative", "float-index", "str-weight", "huge-int-weight"],
+    )
+    def test_values_that_do_not_fit_raise_value_error(self, vector, expected):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        with pytest.raises(ValueError) as err:
+            kb_to_json(model, [KnowledgeEntry("T", "t", "c", vector)])
+        assert expected in str(err.value)
+        assert type(err.value) is ValueError  # not OverflowError or TypeError
 
     def test_compact_sorted_single_line(self, table_style_kb):
         text = kb_to_json(*table_style_kb)
@@ -340,7 +422,7 @@ class TestFormat3:
             KnowledgeEntry("V", "same text", "ctx.one", SparseVector({0: 0.5})),
         ]
         text = kb_to_json(model, entries)
-        assert json.loads(text)["entries"]["docs"] == [0, 1, 2, 3, 0]
+        assert u32s(json.loads(text)["entries"]["docs"]) == [0, 1, 2, 3, 0]
         assert kb_from_json(text)[1] == entries
 
     def test_save_load_round_trip_and_rebuild_are_byte_identical(
@@ -355,15 +437,27 @@ class TestFormat3:
         assert path.read_bytes() == first
 
 
+MODEL = {"vocabulary": {"media": 0}, "doc_count": 2, "doc_frequency": {"media": 1}, "alpha": 0.01}
+
+
 def valid_payload():
     return {
-        "format": 3,
-        "model": {"vocabulary": {"media": 0}, "doc_count": 2,
-                  "doc_frequency": {"media": 1}, "alpha": 0.01},
-        "docs": [{"path_context": "ohos.media", "text": "media",
-                  "indices": [0], "weights": [0.69]}],
-        "entries": {"terms": ["MediaKit"], "docs": [0]},
+        "format": 4,
+        "model": json.loads(json.dumps(MODEL)),
+        "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": packed("I", [1]),
+                 "indices": packed("I", [0]), "weights": packed("d", [0.69])},
+        "entries": {"terms": ["MediaKit"], "docs": packed("I", [0])},
     }
+
+
+# The same KB in the retired format 3, with one object per doc and plain
+# JSON number arrays.
+FORMAT_3 = {
+    "format": 3,
+    "model": MODEL,
+    "docs": [{"path_context": "ohos.media", "text": "media", "indices": [0], "weights": [0.69]}],
+    "entries": {"terms": ["MediaKit"], "docs": [0]},
+}
 
 
 def broken(change):
@@ -381,6 +475,10 @@ def set_in(path, value):
     return change
 
 
+def set_column(section, key, code, values):
+    return set_in((section, key), packed(code, values))
+
+
 class TestLoadErrors:
     def test_valid_payload_loads(self):
         model, entries = kb_from_json(json.dumps(valid_payload()))
@@ -388,20 +486,17 @@ class TestLoadErrors:
             KnowledgeEntry("MediaKit", "media", "ohos.media", SparseVector({0: 0.69}))
         ]
 
-    def test_integer_weights_load_as_floats(self):
-        text = broken(set_in(("docs", 0, "weights"), [1]))
-        weight = kb_from_json(text)[1][0].vector.entries[0]
-        assert weight == 1.0 and type(weight) is float
-
     @pytest.mark.parametrize(
         "text, expected",
         [
             ("{not json", "not valid JSON"),
             ("[]", "not a JSON object"),
             ("{}", "no format field"),
-            (broken(set_in(("format",), 1)), "format 1, expected format 3"),
-            (broken(set_in(("format",), 2)), "format 2, expected format 3"),
-            (broken(lambda p: p.pop("docs")), "'docs' is missing or not a list"),
+            (broken(set_in(("format",), 1)), "format 1, expected format 4"),
+            (broken(set_in(("format",), 2)), "format 2, expected format 4"),
+            (json.dumps(FORMAT_3), "format 3, expected format 4; rebuild it with `expsum kb-build`"),
+            (broken(lambda p: p.pop("docs")), "'docs' is missing or not a dict"),
+            (broken(set_in(("docs",), FORMAT_3["docs"])), "'docs' is missing or not a dict"),
             (broken(set_in(("model",), [])), "'model' is missing or not a dict"),
             (broken(lambda p: p["model"].pop("alpha")), "'model' lacks a key"),
             (broken(set_in(("model", "vocabulary"), {"a": "x"})), "ill-typed"),
@@ -413,25 +508,53 @@ class TestLoadErrors:
             (broken(set_in(("model", "alpha"), float("nan"))), "or not finite"),
             (broken(set_in(("model", "vocabulary", "battery"), 1)),
              "'doc_frequency' lacks vocabulary token 'battery'"),
-            (broken(lambda p: p["docs"].append(3)), "docs[1] is not an object"),
-            (broken(lambda p: p["docs"][0].pop("text")), "docs[0] 'text' is missing"),
-            (broken(lambda p: p["docs"][0].pop("indices")), "docs[0] 'indices' is missing"),
-            (broken(set_in(("docs", 0, "weights"), {"0": 1.0})), "'weights' is missing or not"),
-            (broken(set_in(("docs", 0, "weights"), [])), "1 indices but 0 weights"),
-            (broken(set_in(("docs", 0, "indices"), ["0"])), "'indices' holds a non-integer"),
-            (broken(set_in(("docs", 0, "indices"), [True])), "'indices' holds a non-integer"),
-            (broken(set_in(("docs", 0, "weights"), ["x"])), "'weights' holds a non-number"),
-            (broken(set_in(("docs", 0, "weights"), [None])), "'weights' holds a non-number"),
-            (broken(lambda p: p["docs"][0].update(indices=[0, 0], weights=[1.0, 2.0])),
-             "'indices' repeats an index"),
+            (broken(lambda p: p["docs"]["path_contexts"].append("ohos.x")),
+             "'docs' has 2 path contexts, 1 texts and 1 sizes"),
+            (broken(set_column("docs", "sizes", "I", [1, 0])),
+             "'docs' has 1 path contexts, 1 texts and 2 sizes"),
+            (broken(set_in(("docs", "path_contexts", 0), None)), "'path_contexts' holds a non-string"),
+            (broken(set_in(("docs", "texts", 0), 3)), "'texts' holds a non-string"),
+            (broken(lambda p: p["docs"].pop("texts")), "'docs' 'texts' is missing or not a list"),
+            (broken(lambda p: p["docs"].pop("indices")), "'docs' 'indices' is missing or not a str"),
+            (broken(set_in(("docs", "weights"), [0.69])), "'weights' is missing or not a str"),
+            (broken(set_in(("docs", "indices"), True)), "'indices' is missing or not a str"),
+            (broken(set_in(("docs", "weights"), None)), "'weights' is missing or not a str"),
+            (broken(set_in(("docs", "weights"), "x!")), "'docs' 'weights' is not valid base64"),
+            (broken(set_in(("docs", "indices"), "AAAA*AAA")), "'indices' is not valid base64"),
+            (broken(set_in(("docs", "sizes"), "AQAAAA")), "'sizes' is not valid base64"),
+            (broken(set_in(("docs", "sizes"), "AQAAAé==")), "'sizes' is not valid base64"),
+            (broken(set_in(("entries", "docs"), "0")), "'entries' 'docs' is not valid base64"),
+            (broken(set_in(("docs", "indices"), "AAAA")), "'indices' holds 3 bytes, not whole 4-byte"),
+            (broken(set_in(("docs", "weights"), packed("I", [1, 2, 3]))),
+             "'weights' holds 12 bytes, not whole 8-byte items"),
+            (broken(set_column("docs", "sizes", "I", [2])),
+             "'sizes' add up to 2 but there are 1 indices"),
+            (broken(set_column("docs", "sizes", "I", [0])),
+             "'sizes' add up to 0 but there are 1 indices"),
+            (broken(set_column("docs", "weights", "d", [])), "1 indices but 0 weights"),
+            (broken(lambda p: p["docs"].update(sizes=packed("I", [2]), indices=packed("I", [0, 0]),
+                                               weights=packed("d", [1.0, 2.0]))),
+             "'indices' repeats an index in doc 0"),
             (broken(set_in(("entries",), [{"term": "MediaKit", "doc": 0}])), "'entries' is missing or not a dict"),
             (broken(lambda p: p["entries"].pop("terms")), "'entries' 'terms' is missing"),
+            (broken(set_in(("entries", "docs"), [0])), "'entries' 'docs' is missing or not a str"),
             (broken(lambda p: p["entries"]["terms"].append("t")), "2 terms but 1 doc indices"),
             (broken(set_in(("entries", "terms", 0), 7)), "'terms' holds a non-string"),
-            (broken(set_in(("entries", "docs", 0), 1)), "doc index 1 is invalid"),
-            (broken(set_in(("entries", "docs", 0), -1)), "doc index -1 is invalid"),
-            (broken(set_in(("entries", "docs", 0), True)), "doc index True"),
-            (broken(set_in(("entries", "docs", 0), "0")), "doc index '0'"),
+            (broken(set_column("entries", "docs", "I", [1])),
+             "entries[0]: doc index 1 is invalid (1 docs)"),
+            (broken(set_column("entries", "docs", "I", [2**32 - 1])), "doc index 4294967295 is invalid"),
+        ],
+        ids=[
+            "not-json", "array", "empty-object", "format-1", "format-2", "format-3",
+            "no-docs", "docs-list", "model-list", "no-alpha", "vocabulary-value",
+            "doc-count-huge", "doc-count-0", "frequency-0", "alpha-negative", "alpha-inf",
+            "alpha-nan", "vocabulary-without-frequency", "extra-context", "extra-size",
+            "context-not-string", "text-not-string", "no-texts", "no-indices",
+            "weights-list", "indices-bool", "weights-null", "weights-bad-char",
+            "indices-bad-char", "sizes-no-padding", "sizes-non-ascii", "refs-one-char",
+            "indices-partial-item", "weights-partial-item", "sizes-too-big", "sizes-too-small",
+            "no-weights", "repeated-index", "entries-list", "no-terms", "refs-list",
+            "extra-term", "term-not-string", "ref-past-end", "ref-u32-max",
         ],
     )
     def test_malformed_text_raises_typed_error(self, text, expected):

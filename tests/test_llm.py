@@ -215,3 +215,9 @@ class TestHttpClient:
         for t in threads:
             t.join()
         assert active["max"] == 1
+
+
+def test_script_shape_errors_name_the_item():
+    with pytest.raises(ConfigError) as err:
+        MockScript.from_json('[{"match": "a", "response": "b"}, "oops"]')
+    assert str(err.value) == "mock script item 1 is not an object"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum.code_model import MetadataSet, ParameterField
 from expsum.errors import EmptyDictionary, IoFailure
@@ -232,3 +234,35 @@ def test_completeness_partition():
         # every present field of the input lands on exactly one side
         for name in m.present_fields():
             assert (name in retained_names) != (name in field_level_removed)
+
+
+# -- Hypothesis properties ----------------------------------------------------
+
+values = st.sampled_from(["", " ", "na", " NA ", "number", "x", "none", "read; write"]) | st.text(
+    max_size=6
+)
+optional_values = st.none() | values
+parameters = st.builds(ParameterField, values, optional_values, optional_values)
+metadata_sets = st.builds(
+    MetadataSet,
+    function_name=values,
+    parameters=st.none() | st.lists(parameters, max_size=4),
+    return_type=optional_values,
+    file_path=values,
+    package_module=optional_values,
+    dependency=st.none() | st.lists(values, max_size=3),
+    control_flow_skeleton=optional_values,
+    io_behavior=optional_values,
+    variable_modification=optional_values,
+    dmt=st.dictionaries(st.sampled_from(["@since", "@usage", "@officialdoc"]), values),
+)
+
+
+@settings(max_examples=300)
+@given(metadata_sets)
+def test_check_is_idempotent_and_keeps_name_and_path(m):
+    first = check_metadata(m, SEED_DICT)
+    second = check_metadata(first.retained, SEED_DICT)
+    assert second.removed_fields == []
+    assert second.retained == first.retained
+    assert (first.retained.function_name, first.retained.file_path) == (m.function_name, m.file_path)

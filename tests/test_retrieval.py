@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum.code_model import MetadataSet, ParameterField
 from expsum.knowledge_base import (
@@ -430,3 +432,45 @@ class TestQueryFromMetadata:
     def test_path_falls_back_to_file_path(self):
         m = MetadataSet(function_name="f", file_path="a/b.ts")
         assert query_from_metadata(m).path == "a/b.ts"
+
+
+# -- Hypothesis properties ----------------------------------------------------
+
+thresholds = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+term_texts = st.text(st.sampled_from("abAB xyXY_0."), max_size=10)
+
+
+class TestHypothesisProperties:
+    @settings(max_examples=300)
+    @given(st.lists(term_texts, max_size=8), thresholds)
+    def test_stage3_dedup_is_an_order_preserving_subset(self, terms, threshold):
+        kept = stage3_dedup(terms, RetrievalConfig(token_overlap_threshold=threshold))
+        positions = [terms.index(t) for t in kept]  # ValueError for a term not in the input
+        assert positions == sorted(set(positions))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), thresholds, thresholds, thresholds, thresholds,
+           st.integers(1, 9))
+    def test_stage_trace_never_increases_and_thresholds_only_narrow(
+        self, seed, p_a, p_b, t_a, t_b, top_n
+    ):
+        model, entries, query, _ = random_kb(random.Random(seed))
+        (p_lo, p_hi), (t_lo, t_hi) = sorted((p_a, p_b)), sorted((t_a, t_b))
+
+        def run(path_threshold, token_threshold):
+            cfg = RetrievalConfig(path_threshold, top_n, token_threshold)
+            result = retrieve(query, (model, entries), cfg)
+            s1, s2, s3 = result.stage_trace
+            assert s1 >= s2 >= s3 >= 0
+            return result, stage1_filter(query, entries, cfg)
+
+        low, low_stage1 = run(p_lo, t_lo)
+        high_path, high_path_stage1 = run(p_hi, t_lo)
+        # a higher path threshold keeps a subset of stage 1, so no more of stage 2
+        assert all(any(e is f for f in low_stage1) for e in high_path_stage1)
+        assert high_path.stage_trace[1] <= low.stage_trace[1]
+        # the token threshold moves stage 3 only, where a term is dropped when its
+        # overlap reaches the threshold: raising it never drops a kept term
+        high_token, _ = run(p_lo, t_hi)
+        assert high_token.entries == low.entries
+        assert set(low.terms) <= set(high_token.terms)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum.config import packaged_data_path
 from expsum.errors import (
@@ -10,7 +12,11 @@ from expsum.errors import (
 from expsum.llm import LlmResponse, MockLlmClient, MockRule, MockScript
 from expsum.retrieval import RetrievalResult
 from expsum.summarizer import (
+    CATEGORY_MARKER,
     CATEGORY_ORDER,
+    ERROR_MARKER,
+    FINAL_MARKER,
+    SUMMARY_MARKER,
     FunctionCategory,
     SummarizerConfig,
     build_draft_prompt,
@@ -399,3 +405,28 @@ class TestSummarizeLoop:
         assert a.final_summary == b.final_summary
         assert a.trace[0][0].raw_response == b.trace[0][0].raw_response
         assert a.iterations == b.iterations
+
+
+# -- Hypothesis properties ----------------------------------------------------
+
+fragments = st.sampled_from(
+    [CATEGORY_MARKER, SUMMARY_MARKER, FINAL_MARKER, ERROR_MARKER, "\n", " ", ".", "CATEGORY"]
+    + [c.value for c in FunctionCategory]
+    + [c.value.upper() for c in FunctionCategory]
+) | st.text(max_size=6)
+replies = st.lists(fragments, max_size=8).map("".join)
+
+
+@settings(max_examples=500)
+@given(replies)
+def test_parsers_raise_only_malformed_errors(text):
+    try:
+        draft = parse_draft(response(text))
+    except MalformedDraft:
+        pass
+    else:
+        assert draft.summary_text.strip() and draft.declared_category in FunctionCategory
+    try:
+        parse_refinement(response(text))
+    except MalformedRefinement:
+        pass
