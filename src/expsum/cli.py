@@ -176,14 +176,17 @@ def cmd_summarize(args) -> int:
     cfg = config_module.load_pipeline_config(args.config, cli=vars(args))
     pipeline = Pipeline.from_config(cfg)
     records = _load_corpus_records(Path(args.corpus))
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(pipeline.run, records))
-
-    lines = [json.dumps(r, sort_keys=True, ensure_ascii=False) for r in results]
-    Path(args.out).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-    failures = sum(1 for r in results if "error" in r)
+    failures = 0
+    # Line-buffered, so each line reaches the file as soon as it and every
+    # line before it are done; ``map`` yields in input order.
+    with open(args.out, "w", encoding="utf-8", buffering=1) as out, ThreadPoolExecutor(
+        max_workers=cfg.workers
+    ) as pool:
+        for result in pool.map(pipeline.run, records):
+            out.write(json.dumps(result, sort_keys=True, ensure_ascii=False) + "\n")
+            failures += "error" in result
     _log(
-        f"summarized {len(results) - failures}/{len(results)} records "
+        f"summarized {len(records) - failures}/{len(records)} records "
         f"({failures} warnings) -> {args.out}"
     )
     return 0

@@ -18,11 +18,16 @@ from typing import Any, Mapping, Optional
 
 from .code_model import DEFAULT_DMT_KEYS, DmtConfig
 from .errors import ConfigError
+from .llm import (
+    ENV_API_BASE,
+    ENV_API_KEY,
+    ENV_MODEL,
+    HttpLlmClient,
+    MockLlmClient,
+    MockScript,
+    judgment_stub_client,
+)
 from .retrieval import RetrievalConfig
-
-ENV_API_KEY = "EXPSUM_API_KEY"
-ENV_API_BASE = "EXPSUM_API_BASE"
-ENV_MODEL = "EXPSUM_MODEL"
 
 
 def packaged_data_path(*parts: str) -> Path:
@@ -75,24 +80,28 @@ def _resolve_path(base_dir: Path, value: Optional[str]) -> Optional[str]:
 
 
 #: The JSON types a config value of each kind may have; ``null`` counts as
-#: unset for strings only, and ``bool`` is no number.
+#: unset for strings only, and ``bool`` is no number. The items of a list
+#: "of strings", and the values of an object "of strings", are strings.
 _KINDS = {
     "an object": (dict,),
+    "an object of strings": (dict,),
     "a list": (list,),
+    "a list of strings": (list,),
     "a string": (str, type(None)),
     "an integer": (int,),
     "a finite number": (int, float),
 }
 
 
-def _get(section: Mapping, key: str, kind: str, default, where: str = ""):
+def get_checked(section: Mapping, key: str, kind: str, default, where: str = "config "):
     """``section[key]``, or ``default`` when absent, if it is of ``kind``;
-    otherwise a :class:`ConfigError` naming the key."""
+    otherwise a :class:`ConfigError` naming ``where`` and the key."""
     value = section.get(key, default)
+    items = value.values() if type(value) is dict else value
     if type(value) not in _KINDS[kind] or (
         kind == "a finite number" and not abs(value) <= sys.float_info.max
-    ):
-        raise ConfigError(f"config {where}{key!r} must be {kind} (got {value!r:.40})")
+    ) or (kind.endswith("of strings") and not all(type(item) is str for item in items)):
+        raise ConfigError(f"{where}{key!r} must be {kind} (got {value!r:.40})")
     return value
 
 
@@ -120,13 +129,14 @@ def load_pipeline_config(
     base_dir = path.parent
 
     def file_path(key: str, *default: str) -> Optional[str]:
-        value = _resolve_path(base_dir, _get(raw, key, "a string", None))
+        value = _resolve_path(base_dir, get_checked(raw, key, "a string", None))
         return value or (str(packaged_data_path(*default)) if default else None)
 
     def section(name: str):
         """A getter of the typed values of section ``name``."""
-        values = _get(raw, name, "an object", {})
-        return lambda key, kind, default=None: _get(values, key, kind, default, f"{name!r} ")
+        values = get_checked(raw, name, "an object", {})
+        where = f"config {name!r} "
+        return lambda key, kind, default=None: get_checked(values, key, kind, default, where)
 
     kb_path = file_path("kb_path")
     if kb_path is None:
@@ -157,10 +167,10 @@ def load_pipeline_config(
         timeout=float(llm("timeout", "a finite number", 120.0)),
         retries=llm("retries", "an integer", 2),
     )
-    workers = resolve_setting(cli.get("workers"), None, _get(raw, "workers", "an integer", 1))
+    workers = resolve_setting(cli.get("workers"), None, get_checked(raw, "workers", "an integer", 1))
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    dmt_keys = _get(raw, "dmt_keys", "a list", list(DEFAULT_DMT_KEYS))
+    dmt_keys = get_checked(raw, "dmt_keys", "a list", list(DEFAULT_DMT_KEYS))
     if not all(type(key) is str for key in dmt_keys):
         raise ConfigError("config 'dmt_keys' must be a list of strings")
 
@@ -199,17 +209,12 @@ def load_pipeline_config(
 
 def build_client(llm: LlmSettings):
     """Instantiate the configured backend client."""
-    from . import llm as llm_module
-
     if llm.backend == "mock":
         if llm.mock_script_path:
-            return llm_module.MockLlmClient(
-                llm_module.MockScript.load(llm.mock_script_path),
-                record_calls=False,
-            )
-        return llm_module.judgment_stub_client(record_calls=False)
+            return MockLlmClient(MockScript.load(llm.mock_script_path), record_calls=False)
+        return judgment_stub_client(record_calls=False)
     if llm.backend == "http":
-        return llm_module.HttpLlmClient(
+        return HttpLlmClient(
             api_base=llm.api_base,
             api_key=llm.api_key,
             model=llm.model,

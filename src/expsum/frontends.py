@@ -1,6 +1,6 @@
 """Grammar-based frontend for a TypeScript-like language (ArkTS, TS, JS).
 
-A small tokenizer plus structural scanning recovers the signature, imports,
+A small lexer plus structural scanning recovers the signature, imports,
 namespace, doc-comment annotations, and behavior facts of one function.
 Known limitations, acceptable for declaration-style sources: object-literal
 type annotations and regex literals containing braces are not understood.
@@ -57,7 +57,7 @@ class Token:
         return self.pos + len(self.text)
 
 
-def tokenize(source: str) -> list[Token]:
+def lex(source: str) -> list[Token]:
     """Full token stream including comments; whitespace dropped."""
     tokens: list[Token] = []
     pos = 0
@@ -125,7 +125,7 @@ class TypeScriptLikeFrontend:
     def parse(self, source: str, file_path: str) -> MetadataSet:
         if not source.strip():
             raise ParseFailure("empty source text")
-        all_tokens = tokenize(source)
+        all_tokens = lex(source)
         annotations = harvest_annotations(all_tokens)
         code = [t for t in all_tokens if t.kind not in ("block_comment", "line_comment")]
 
@@ -153,7 +153,7 @@ class TypeScriptLikeFrontend:
     def control_flow_skeleton(self, source: str) -> str:
         """Skeleton of a bare statement sequence (no function wrapper needed)."""
         tokens = [
-            t for t in tokenize(source)
+            t for t in lex(source)
             if t.kind not in ("block_comment", "line_comment")
         ]
         return self._scan_constructs(tokens)
@@ -360,10 +360,7 @@ class TypeScriptLikeFrontend:
 
     def _parse_body(self, code: list[Token], start: int) -> list[Token]:
         if start >= len(code) or code[start].text != "{":
-            # declaration without a body
-            if start < len(code) and code[start].text == ";":
-                return []
-            return []
+            return []  # declaration without a body
         depth = 0
         for j in range(start, len(code)):
             if code[j].text == "{":

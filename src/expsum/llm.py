@@ -8,18 +8,23 @@ variables EXPSUM_API_KEY, EXPSUM_API_BASE, and EXPSUM_MODEL.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
-import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
 
-import requests
-
 from .errors import ClientFailure, ConfigError, IoFailure
+
+ENV_API_KEY = "EXPSUM_API_KEY"
+ENV_API_BASE = "EXPSUM_API_BASE"
+ENV_MODEL = "EXPSUM_MODEL"
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,26 @@ def judgment_stub_client(
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float):
-    response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    return response.status_code, response.text
+    """POST ``payload`` as JSON on a new connection; return the status and
+    the body of any reply, error statuses included.
+
+    A URL that is not http(s) is a network error, as no connection to it
+    can be made; ``urllib`` would otherwise read ``file:`` and ``data:``
+    URLs."""
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise urllib.error.URLError(f"not an http(s) URL: {url!r}")
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+        headers=headers,
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, response.read().decode("utf-8", errors="replace")
+    except urllib.error.HTTPError as e:  # an OSError, which would be retried
+        with e:
+            return e.code, e.read().decode("utf-8", errors="replace")
 
 
 class HttpLlmClient:
@@ -159,8 +182,10 @@ class HttpLlmClient:
 
     ``transport`` is injectable for tests: a callable of
     ``(url, headers, payload, timeout) -> (status_code, body_text)``.
-    Network-level errors (the transport raising) are retried with backoff;
-    HTTP error statuses and malformed payloads are not.
+    Network-level errors (the transport raising ``OSError`` or
+    ``http.client.HTTPException``) are retried with backoff; HTTP error
+    statuses and malformed payloads are not. The client holds no lock or
+    connection, so as many calls run at once as threads call it.
     """
 
     def __init__(
@@ -171,22 +196,20 @@ class HttpLlmClient:
         timeout: float = 120.0,
         retries: int = 2,
         backoff: float = 0.5,
-        max_concurrency: int = 8,
         transport=None,
     ):
-        self.api_base = api_base or os.environ.get("EXPSUM_API_BASE", "")
-        self.api_key = api_key or os.environ.get("EXPSUM_API_KEY", "")
-        self.model = model or os.environ.get("EXPSUM_MODEL", "")
+        self.api_base = api_base or os.environ.get(ENV_API_BASE, "")
+        self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
+        self.model = model or os.environ.get(ENV_MODEL, "")
         if not self.api_base or not self.model:
             raise ConfigError(
                 "HTTP backend needs an API base URL and a model name "
-                "(flags, config file, or EXPSUM_API_BASE / EXPSUM_MODEL)"
+                f"(flags, config file, or {ENV_API_BASE} / {ENV_MODEL})"
             )
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.transport = transport or _default_transport
-        self._slots = threading.Semaphore(max_concurrency)
         self.backend_id = f"http:{self.model}"
 
     def _url(self) -> str:
@@ -210,12 +233,9 @@ class HttpLlmClient:
         attempt = 0
         while True:
             try:
-                with self._slots:
-                    status, body = self.transport(
-                        self._url(), headers, payload, self.timeout
-                    )
+                status, body = self.transport(self._url(), headers, payload, self.timeout)
                 break
-            except (requests.RequestException, OSError) as e:
+            except (OSError, http.client.HTTPException) as e:
                 if attempt >= self.retries:
                     raise ClientFailure(
                         f"network failure after {attempt + 1} attempts: {e}",

@@ -14,9 +14,10 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 from .code_model import MetadataSet, serialize_metadata
+from .config import get_checked
 from .errors import (
     AllCategoriesExcluded,
     ConfigError,
@@ -66,18 +67,29 @@ class CategorySchema:
     example_names: list[str] = field(default_factory=list)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CategorySchema":
+    def from_dict(cls, d: Any, category: FunctionCategory, where: str) -> "CategorySchema":
+        """The schema of ``category`` from its JSON object; a value of the
+        wrong shape is a :class:`ConfigError` naming ``where`` and the key."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"{where}must be a JSON object (got {d!r:.40})")
+        if d.get("category") != category.value:
+            raise ConfigError(
+                f"{where}'category' must be {category.value!r} (got {d.get('category')!r:.40})"
+            )
+
+        def get(key: str, kind: str, default=None):  # null counts as unset
+            return default if d.get(key) is None else get_checked(d, key, kind, default, where)
+
+        definition = get("definition", "a string")
+        if definition is None:
+            raise ConfigError(f"{where}'definition' is missing")
         return cls(
-            category=FunctionCategory(d["category"]),
-            definition=d["definition"],
-            classification_criteria=list(d.get("classification_criteria", [])),
-            datatype_templates=(
-                dict(d["datatype_templates"])
-                if d.get("datatype_templates")
-                else None
-            ),
-            forbidden=list(d.get("forbidden", [])),
-            example_names=list(d.get("example_names", [])),
+            category=category,
+            definition=definition,
+            classification_criteria=get("classification_criteria", "a list of strings", []),
+            datatype_templates=get("datatype_templates", "an object of strings", {}) or None,
+            forbidden=get("forbidden", "a list of strings", []),
+            example_names=get("example_names", "a list of strings", []),
         )
 
 
@@ -133,12 +145,10 @@ def load_category_schemas(schema_dir: str | Path) -> list[CategorySchema]:
         if not path.exists():
             raise ConfigError(f"missing schema file {path}")
         try:
-            schema = CategorySchema.from_dict(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as e:  # not UTF-8, or not JSON
             raise ConfigError(f"invalid schema file {path}: {e}") from e
-        schemas[schema.category] = schema
+        schemas[category] = CategorySchema.from_dict(data, category, f"schema file {path} ")
 
     field_schema = schemas[FunctionCategory.FIELD]
     templates = field_schema.datatype_templates or {}

@@ -1,4 +1,5 @@
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from expsum import pipeline as pipeline_module
 from expsum.cli import main
-from expsum.config import load_pipeline_config, resolve_setting
+from expsum.config import load_pipeline_config, packaged_data_path, resolve_setting
 from expsum.errors import ConfigError
 from expsum.knowledge_base import load_knowledge_base
 
@@ -375,6 +376,37 @@ def test_config_loader_raises_only_config_error(config):
             assert "\n" not in str(e)
 
 
+class TestSchemaFileTypes:
+    """A category schema file of the wrong shape is one ConfigError line
+    naming the file and the key, never a traceback or a garbled prompt."""
+
+    @pytest.mark.parametrize(
+        "name, content, expected",
+        [
+            ("procedural", {"classification_criteria": 5},
+             "'classification_criteria' must be a list of strings (got 5)"),
+            ("procedural", [1], "must be a JSON object (got [1])"),
+            ("procedural", {"forbidden": "set"}, "'forbidden' must be a list of strings (got 'set')"),
+            ("procedural", {"definition": 7}, "'definition' must be a string (got 7)"),
+            ("utility", {"category": "field"}, "'category' must be 'utility' (got 'field')"),
+        ],
+        ids=["criteria-int", "not-object", "forbidden-str", "definition-int", "category-mismatch"],
+    )
+    def test_one_config_error_line_naming_file_and_key(
+        self, fixture_paths, capsys, tmp_path, name, content, expected
+    ):
+        schema_dir = tmp_path / "schemas"
+        shutil.copytree(packaged_data_path("schemas"), schema_dir)
+        path = schema_dir / f"{name}.json"
+        if isinstance(content, dict):
+            content = {**json.loads(path.read_text(encoding="utf-8")), **content}
+        path.write_text(json.dumps(content), encoding="utf-8")
+        err = summarize_fails(
+            fixture_paths, capsys, change=lambda c: c.update(schema_dir=str(schema_dir))
+        )
+        assert err == f"error: ConfigError: schema file {path} {expected}\n"
+
+
 class TestMockScriptShape:
     @pytest.mark.parametrize(
         "script, expected",
@@ -568,6 +600,21 @@ class TestSummarizeCommand:
         assert err == (
             f"error: ValueError: {fixture_paths['corpus']} line 1: record is not an object\n"
         )
+
+    def test_unwritable_out_fails_before_any_record_runs(self, fixture_paths, capsys):
+        build_kb(fixture_paths)
+        with open(fixture_paths["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "zz-broken", "function": "oops"}) + "\n")
+        out_dir = fixture_paths["config"].parent / "out-dir"
+        out_dir.mkdir()
+        capsys.readouterr()
+        argv = ["summarize", str(fixture_paths["corpus"]),
+                "--config", str(fixture_paths["config"]), "--out", str(out_dir)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: IsADirectoryError: ")
+        assert err.count("\n") == 1
+        assert "warning:" not in err
 
     def test_worker_counts_agree(self, fixture_paths):
         build_kb(fixture_paths)

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsum.errors import ParseFailure
-from expsum.frontends import TypeScriptLikeFrontend, harvest_annotations, tokenize
+from expsum.frontends import TypeScriptLikeFrontend, harvest_annotations, lex
 
 
 @pytest.fixture
@@ -11,28 +13,28 @@ def frontend():
 
 class TestTokenizer:
     def test_strings_and_comments_are_atomic(self):
-        tokens = tokenize("f('a;b') /* x { */ // tail\n g")
+        tokens = lex("f('a;b') /* x { */ // tail\n g")
         kinds = [t.kind for t in tokens]
         assert kinds == ["ident", "punct", "string", "punct", "block_comment",
                          "line_comment", "ident"]
 
     def test_unterminated_string_fails(self):
         with pytest.raises(ParseFailure):
-            tokenize("let s = 'oops")
+            lex("let s = 'oops")
 
     def test_multi_char_operators(self):
-        texts = [t.text for t in tokenize("a === b != c += 1")]
+        texts = [t.text for t in lex("a === b != c += 1")]
         assert texts == ["a", "===", "b", "!=", "c", "+=", "1"]
 
 
 class TestAnnotations:
     def test_block_comment_tags(self):
-        tokens = tokenize("/**\n * @since API version 9\n * @deprecated\n */")
+        tokens = lex("/**\n * @since API version 9\n * @deprecated\n */")
         tags = harvest_annotations(tokens)
         assert tags == {"@since": "API version 9", "@deprecated": "true"}
 
     def test_multiline_tag_value(self):
-        tokens = tokenize(
+        tokens = lex(
             "/**\n * @officialdoc Monitor power consumption.\n"
             " * Frequent invocation may increase overhead.\n * @since 9\n */"
         )
@@ -148,3 +150,29 @@ class TestBehaviorScanning:
     def test_comparisons_are_not_assignments(self, frontend):
         m = frontend.parse("function f(x: number) { if (x == limit) { g(); } }", "f.ts")
         assert m.variable_modification is None
+
+
+# -- Hypothesis properties ----------------------------------------------------
+
+TS_SOUP = st.sampled_from(
+    ["function", "export", "declare", "const", "let", "namespace", "import", "from",
+     "class", "constructor", "return", "if", "else", "for", "while", "do", "switch",
+     "case", "try", "catch", "new", "this", "async", "await", "static", "f", "x",
+     "number", "string", "void", "'s'", '"t"', "`u`", "0", "1.5",
+     "(", ")", "{", "}", "[", "]", "<", ">", ",", ";", ":", "?", "=", "=>", "...",
+     ".", "@", "+=", "===", "/*", "*/", "/** @since 9 */", "//", "\n", " "]
+)
+
+
+soup = st.lists(TS_SOUP, max_size=30).map(" ".join)
+# Framed soup reaches the signature and body scanners about half the time.
+framed = st.tuples(soup, soup, soup).map(lambda p: f"{p[0]} function f({p[1]}) {{ {p[2]} }}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=60) | soup | framed)
+def test_parse_raises_only_parse_failure(text):
+    try:
+        TypeScriptLikeFrontend().parse(text, "f.ts")
+    except ParseFailure:
+        pass

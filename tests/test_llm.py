@@ -1,9 +1,9 @@
 import json
+import socket
 import threading
-import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from expsum.errors import ClientFailure, ConfigError
 from expsum.llm import (
@@ -12,6 +12,7 @@ from expsum.llm import (
     MockLlmClient,
     MockRule,
     MockScript,
+    _default_transport,
     judgment_stub_client,
 )
 
@@ -156,7 +157,7 @@ class TestHttpClient:
 
         def transport(url, headers, payload, timeout):
             calls.append(1)
-            raise requests.ConnectionError("refused")
+            raise ConnectionRefusedError("refused")
 
         client = self.client(transport, retries=2)
         with pytest.raises(ClientFailure) as err:
@@ -170,7 +171,7 @@ class TestHttpClient:
         def transport(url, headers, payload, timeout):
             state["n"] += 1
             if state["n"] < 2:
-                raise requests.ConnectionError("refused")
+                raise ConnectionRefusedError("refused")
             return 200, json.dumps({"choices": [{"message": {"content": "late"}}]})
 
         client = self.client(transport, retries=2)
@@ -192,29 +193,152 @@ class TestHttpClient:
         assert calls[0]["url"].startswith("http://env.test")
         assert calls[0]["payload"]["model"] == "env-model"
 
-    def test_concurrency_bound(self):
-        active = {"now": 0, "max": 0}
-        lock = threading.Lock()
+    def test_calls_are_limited_only_by_the_callers(self):
+        """As many calls run at once as threads make them: 12 threads all
+        reach the transport before any returns."""
+        barrier = threading.Barrier(12, timeout=10)
 
         def transport(url, headers, payload, timeout):
-            with lock:
-                active["now"] += 1
-                active["max"] = max(active["max"], active["now"])
-            time.sleep(0.01)
-            with lock:
-                active["now"] -= 1
+            barrier.wait()
             return 200, json.dumps({"choices": [{"message": {"content": "ok"}}]})
 
-        client = self.client(transport, max_concurrency=1)
+        client = self.client(transport)
+        texts = []
         threads = [
-            threading.Thread(target=lambda: client.complete(request()))
-            for _ in range(4)
+            threading.Thread(target=lambda: texts.append(client.complete(request()).text))
+            for _ in range(12)
         ]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-        assert active["max"] == 1
+            t.join(timeout=20)
+        assert not any(t.is_alive() for t in threads)
+        assert texts == ["ok"] * 12
+
+
+class LoopbackBackend(ThreadingHTTPServer):
+    """A chat-completion server on 127.0.0.1 that answers each POST with
+    the next of ``replies`` (the last repeats) and records every request.
+
+    A reply is ``(status, body)``; a body of ``None`` announces a full
+    completion but sends a few bytes of it and closes the connection."""
+
+    daemon_threads = True
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+        self.requests = []
+        super().__init__(("127.0.0.1", 0), LoopbackHandler)
+
+    @property
+    def api_base(self) -> str:
+        return f"http://127.0.0.1:{self.server_address[1]}/v1"
+
+
+class LoopbackHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server.requests.append({"path": self.path, "headers": self.headers, "body": body})
+        n = len(server.requests) - 1
+        status, text = server.replies[min(n, len(server.replies) - 1)]
+        data = (text or COMPLETION).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data if text is not None else data[:5])
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+COMPLETION = json.dumps({"choices": [{"message": {"content": "über fine"}}]})
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """Start a :class:`LoopbackBackend`; every request stays on loopback."""
+    monkeypatch.setenv("no_proxy", "*")
+    servers = []
+
+    def start(*replies):
+        server = LoopbackBackend(replies or [(200, COMPLETION)])
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in servers:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+
+
+class TestDefaultTransport:
+    """The real transport against an in-process server."""
+
+    def client(self, api_base, **kwargs):
+        return HttpLlmClient(api_base=api_base, model="m", backoff=0.0, **kwargs)
+
+    def test_2xx_reply(self, loopback):
+        server = loopback()
+        out = self.client(server.api_base, api_key="secret").complete(request("ask me"))
+        assert out.text == "über fine"
+        [sent] = server.requests
+        assert sent["path"] == "/v1/chat/completions"
+        assert sent["headers"]["Content-Type"] == "application/json"
+        assert sent["headers"]["Authorization"] == "Bearer secret"
+        assert json.loads(sent["body"]) == {
+            "model": "m",
+            "messages": [
+                {"role": "system", "content": "sys"},
+                {"role": "user", "content": "ask me"},
+            ],
+            "temperature": 0.0,
+            "max_tokens": 512,
+        }
+
+    def test_no_key_no_authorization_header(self, loopback):
+        server = loopback()
+        self.client(server.api_base).complete(request())
+        assert "Authorization" not in server.requests[0]["headers"]
+
+    def test_500_is_reported_once(self, loopback):
+        server = loopback((500, "overloaded"))
+        with pytest.raises(ClientFailure) as err:
+            self.client(server.api_base, retries=3).complete(request())
+        assert err.value.kind == "non_2xx"
+        assert "HTTP 500: overloaded" in str(err.value)
+        assert len(server.requests) == 1
+
+    def test_refused_port_is_retried(self):
+        calls = []
+
+        def transport(*args):
+            calls.append(1)
+            return _default_transport(*args)
+
+        with socket.socket() as bound:  # bound, never listening: connects are refused
+            bound.bind(("127.0.0.1", 0))
+            api_base = f"http://127.0.0.1:{bound.getsockname()[1]}/v1"
+            with pytest.raises(ClientFailure) as err:
+                self.client(api_base, retries=2, transport=transport).complete(request())
+        assert err.value.kind == "network"
+        assert len(calls) == 3
+
+    def test_connection_closed_mid_body_is_retried(self, loopback):
+        server = loopback((200, None), (200, COMPLETION))
+        assert self.client(server.api_base, retries=1).complete(request()).text == "über fine"
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("api_base", ["file:///etc", "data:,x", "llm.test/v1"])
+    def test_non_http_url_is_a_network_error(self, api_base):
+        with pytest.raises(ClientFailure) as err:
+            self.client(api_base, retries=0).complete(request())
+        assert err.value.kind == "network"
 
 
 def test_script_shape_errors_name_the_item():
