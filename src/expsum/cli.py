@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -62,7 +63,11 @@ def _load_corpus_records(path: Path) -> list[dict]:
     seen_ids = set()
     for line_no, record in _read_jsonl(path):
         record_id = record.get("id")
-        if not record_id or isinstance(record_id, (list, dict)):
+        if isinstance(record_id, bool) or not (
+            isinstance(record_id, int)
+            or (isinstance(record_id, float) and math.isfinite(record_id))
+            or (isinstance(record_id, str) and record_id)
+        ):
             raise ValueError(f"{path} line {line_no}: record without a string or number id")
         if record_id in seen_ids:
             raise ValueError(f"{path} line {line_no}: duplicate id {record_id!r}")

@@ -4,6 +4,7 @@ domain terms, then draft and refine its summary."""
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
 
 from .code_model import FunctionRecord, model_function
@@ -19,6 +20,10 @@ from .summarizer import (
     load_refiner_constraints,
     summarize,
 )
+
+# ``print`` writes the text and its newline separately, so concurrent
+# records' warnings could interleave; each line is one write under this lock.
+_STDERR_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,8 @@ class Pipeline:
             hits = retrieve(query_from_metadata(checked.retained), self.kb, self.cfg.retrieval)
             result = summarize(checked.retained, hits, self.client, self.summarizer)
         except Exception as e:  # the record's error line is the report
-            print(f"warning: record {record_id!r} failed: {type(e).__name__}: {e}", file=sys.stderr)
+            with _STDERR_LOCK:
+                sys.stderr.write(f"warning: record {record_id!r} failed: {type(e).__name__}: {e}\n")
             return {"id": record_id, "error": type(e).__name__}
         return {
             "id": record_id,

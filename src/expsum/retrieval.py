@@ -8,6 +8,7 @@ lexically nested inside longer surviving terms.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
@@ -105,20 +106,19 @@ def query_from_metadata(m: MetadataSet) -> QueryText:
     )
 
 
-def _path_tokens(path: str) -> list[str]:
+def _path_tokens(path: str) -> tuple[str, ...]:
     for delim in _PATH_DELIMITERS[1:]:
         path = path.replace(delim, _PATH_DELIMITERS[0])
-    return [t.lower() for t in path.split(_PATH_DELIMITERS[0]) if t]
+    return tuple(t.lower() for t in path.split(_PATH_DELIMITERS[0]) if t)
 
 
-def path_overlap(query_path: str, entry_path: str) -> float:
-    """Left-aligned consecutive token overlap, relative to the query path.
+# KB path contexts repeat across every query, so each is tokenized once per
+# process. Query paths are not cached: a long run would grow this without
+# bound, while the contexts are bounded by the knowledge bases loaded.
+_context_tokens = functools.cache(_path_tokens)
 
-    Both paths are tokenized on '/', '.', and '@'; tokens are compared
-    case-insensitively from the left until the first mismatch.
-    """
-    query_tokens = _path_tokens(query_path)
-    entry_tokens = _path_tokens(entry_path)
+
+def _prefix_overlap(query_tokens: tuple[str, ...], entry_tokens: tuple[str, ...]) -> float:
     if not query_tokens:
         return 0.0
     matched = 0
@@ -129,12 +129,23 @@ def path_overlap(query_path: str, entry_path: str) -> float:
     return matched / len(query_tokens)
 
 
+def path_overlap(query_path: str, entry_path: str) -> float:
+    """Left-aligned consecutive token overlap, relative to the query path.
+
+    Both paths are tokenized on '/', '.', and '@'; tokens are compared
+    case-insensitively from the left until the first mismatch.
+    """
+    return _prefix_overlap(_path_tokens(query_path), _context_tokens(entry_path))
+
+
 def stage1_filter(
     query: QueryText, entries: list[KnowledgeEntry], cfg: RetrievalConfig
 ) -> list[KnowledgeEntry]:
     """Keep entries with sufficient path-context overlap, preserving order.
 
-    The overlap is computed once per distinct path context."""
+    The query path is tokenized once per call and the overlap computed once
+    per distinct path context."""
+    query_tokens = _path_tokens(query.path)
     threshold = cfg.path_overlap_threshold
     verdicts: dict[str, bool] = {}
     kept: list[KnowledgeEntry] = []
@@ -142,7 +153,7 @@ def stage1_filter(
         keep = verdicts.get(e.path_context)
         if keep is None:
             keep = verdicts[e.path_context] = (
-                path_overlap(query.path, e.path_context) >= threshold
+                _prefix_overlap(query_tokens, _context_tokens(e.path_context)) >= threshold
             )
         if keep:
             kept.append(e)

@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -571,8 +572,17 @@ class TestSummarizeCommand:
             ("{not json", "line 4: not valid JSON (Expecting property name"),
             ('{"id": [1], "function": {}}', "line 4: record without a string or number id"),
             ('{"id": "battery-level"}', "line 4: duplicate id 'battery-level'"),
+            ('{"id": true}', "line 4: record without a string or number id"),
+            ('{"id": false}', "line 4: record without a string or number id"),
+            ('{"id": null}', "line 4: record without a string or number id"),
+            ('{"id": ""}', "line 4: record without a string or number id"),
+            ('{"id": {}}', "line 4: record without a string or number id"),
+            ('{"function": {}}', "line 4: record without a string or number id"),
+            ('{"id": NaN}', "line 4: record without a string or number id"),
+            ('{"id": -Infinity}', "line 4: record without a string or number id"),
         ],
-        ids=["not-json", "list-id", "duplicate-id"],
+        ids=["not-json", "list-id", "duplicate-id", "true-id", "false-id", "null-id",
+             "empty-string-id", "object-id", "missing-id", "nan-id", "infinite-id"],
     )
     def test_bad_corpus_line_is_one_error_line(self, fixture_paths, capsys, line, expected):
         build_kb(fixture_paths)
@@ -587,6 +597,34 @@ class TestSummarizeCommand:
         assert err.startswith(f"error: ValueError: {fixture_paths['corpus']} {expected}")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("record_id", [0, 7, -3, 1.5, "0"], ids=repr)
+    def test_string_or_number_id_is_accepted(self, fixture_paths, record_id):
+        build_kb(fixture_paths)
+        with open(fixture_paths["corpus"], "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": record_id, "function": "oops"}) + "\n")
+        _, lines = self.run_summarize(fixture_paths)
+        assert lines[-1] == {"id": record_id, "error": "ValueError"}
+
+    def test_concurrent_warnings_stay_whole_lines(self, fixture_paths, capfd):
+        build_kb(fixture_paths)
+        fixture_paths["corpus"].write_text(
+            "".join(json.dumps({"id": f"bad-{n}", "function": "oops"}) + "\n" for n in range(60)),
+            encoding="utf-8",
+        )
+        capfd.readouterr()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, lines = self.run_summarize(fixture_paths, extra=["--workers", "4"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert all("error" in line for line in lines)
+        err_lines = capfd.readouterr().err.split("\n")
+        assert err_lines[-1] == ""
+        warnings = err_lines[:-2]  # the last line is the run summary
+        assert len(warnings) == 60
+        assert all(line.startswith("warning: record 'bad-") for line in warnings), warnings
 
     def test_non_object_line_is_one_error_line(self, fixture_paths, capsys):
         build_kb(fixture_paths)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expsum import retrieval
 from expsum.code_model import MetadataSet, ParameterField
 from expsum.knowledge_base import (
     KnowledgeEntry,
@@ -32,6 +33,10 @@ from expsum.retrieval import (
 )
 
 CFG = RetrievalConfig()
+
+# Paths over the delimiters, mixed case and non-ASCII text (including
+# characters whose lowercase form is longer), plus arbitrary text.
+path_texts = st.text(st.sampled_from("/.@aAbBzZ0_ éÉßİı"), max_size=12) | st.text(max_size=12)
 
 
 # -- exhaustive reference implementation (no shared code with the cascade) ----
@@ -140,6 +145,19 @@ class TestPathOverlap:
     def test_case_insensitive_tokens(self):
         assert path_overlap("Ohos.data.rdb", "ohos.data.rdb") == 1.0
 
+    @settings(max_examples=500)
+    @given(path_texts, path_texts)
+    def test_matches_oracle_on_cold_and_warm_cache(self, query_path, entry_path):
+        expected = oracle_path_overlap(query_path, entry_path)
+        assert path_overlap(query_path, entry_path) == expected
+        assert path_overlap(query_path, entry_path) == expected
+
+    def test_cached_context_tokens_are_an_immutable_tuple(self):
+        tokens = retrieval._context_tokens("ohos.Data@rdb//x")
+        assert type(tokens) is tuple
+        assert tokens == ("ohos", "data", "rdb", "x")
+        assert retrieval._context_tokens("ohos.Data@rdb//x") is tokens
+
 
 class TestStage1:
     def entry(self, path):
@@ -174,6 +192,28 @@ class TestStage1:
 
     def test_empty_entries(self):
         assert stage1_filter(QueryText(concatenated="q", path="a"), [], CFG) == []
+
+    def test_kbs_differing_only_in_case_match_the_naive_filter(self):
+        contexts = ["ohos.Data.rdb", "OHOS.data", "ohos.media.AVSession", "kit/Media@session"]
+        kbs = [
+            [self.entry(path) for path in paths for _ in range(2)]
+            for paths in (contexts, [path.swapcase() for path in contexts])
+        ]
+        kept_any = dropped_any = False
+        for query_path in ["ohos.data.rdb", "OHOS.MEDIA.avsession.x", "kit.media.session", "Ohos"]:
+            query = QueryText(concatenated="q", path=query_path)
+            for threshold in (0.5, 0.75, 1.0):
+                cfg = RetrievalConfig(path_overlap_threshold=threshold)
+                for entries in kbs:
+                    naive = [
+                        e for e in entries
+                        if path_overlap(query.path, e.path_context) >= threshold
+                    ]
+                    kept = stage1_filter(query, entries, cfg)
+                    assert list(map(id, kept)) == list(map(id, naive))
+                    kept_any |= bool(kept)
+                    dropped_any |= len(kept) < len(entries)
+        assert kept_any and dropped_any
 
 
 class TestStage2:
