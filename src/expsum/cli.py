@@ -24,7 +24,7 @@ from .code_model import (
     metadata_to_dict,
     model_function,
 )
-from .errors import EmptyCorpus, ExpSumError
+from .errors import EmptyCorpus, ExpSumError, one_line
 from .knowledge_base import (
     PackageDoc,
     build_knowledge_base,
@@ -38,7 +38,8 @@ from .retrieval import RetrievalConfig, query_from_metadata, retrieve
 
 
 def _log(message: str) -> None:
-    print(message, file=sys.stderr)
+    """Write ``message`` to stderr as one line."""
+    print(one_line(message), file=sys.stderr)
 
 
 def _read_jsonl(path: Path):
@@ -76,31 +77,48 @@ def _load_corpus_records(path: Path) -> list[dict]:
     return records
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``; other bytes are a ``ValueError`` naming
+    the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def _read_json(path: Path, what: str):
+    """The JSON value in ``path``; text that is not JSON is a ``ValueError``
+    naming ``what`` and the file."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{what} {path} is not valid JSON ({e})") from None
+
+
 def _load_package_docs(corpus: Path) -> list[PackageDoc]:
     docs: list[PackageDoc] = []
     if corpus.is_dir():
         for file in sorted(corpus.iterdir()):
             if file.is_file() and file.suffix in (".txt", ".md"):
-                text = file.read_text(encoding="utf-8").strip()
+                text = _read_text(file).strip()
                 if text:
                     docs.append(PackageDoc(path_context=file.stem, text=text))
     elif corpus.is_file():
-        manifest = json.loads(corpus.read_text(encoding="utf-8"))
+        manifest = _read_json(corpus, "manifest")
         if not isinstance(manifest, list):
             raise ValueError(f"manifest {corpus} is not a list")
         for n, item in enumerate(manifest):
+            where = f"manifest {corpus} item {n}"
             if not (
                 isinstance(item, dict)
                 and isinstance(item.get("path_context"), str)
                 and isinstance(item.get("text"), str)
             ):
-                raise ValueError(
-                    f"manifest {corpus} item {n}: not an object with string "
-                    "'path_context' and 'text'"
-                )
-            docs.append(
-                PackageDoc(path_context=item["path_context"], text=item["text"])
-            )
+                raise ValueError(f"{where}: not an object with string 'path_context' and 'text'")
+            try:
+                docs.append(PackageDoc(path_context=item["path_context"], text=item["text"]))
+            except ValueError as e:
+                raise ValueError(f"{where}: {e}") from None
     return docs
 
 
@@ -138,14 +156,19 @@ def cmd_extract(args) -> int:
         else DmtConfig()
     )
     if args.record:
-        data = json.loads(Path(args.record).read_text(encoding="utf-8"))
+        data = _read_json(Path(args.record), "record")
         if not isinstance(data, dict):
             raise ValueError(f"{args.record}: record is not an object")
-        record = FunctionRecord.from_dict(data["function"])
+        if "function" not in data:
+            raise ValueError(f"{args.record}: record has no 'function'")
+        try:
+            record = FunctionRecord.from_dict(data["function"])
+        except ValueError as e:
+            raise ValueError(f"{args.record}: {e}") from None
     else:
         record = FunctionRecord(
             file_path=args.source,
-            source_text=Path(args.source).read_text(encoding="utf-8"),
+            source_text=_read_text(Path(args.source)),
             language=Language.from_string(args.lang or "unknown"),
         )
     metadata = model_function(record, dmt_config)

@@ -57,3 +57,9 @@ class ConfigError(ExpSumError):
 
 class MalformedKnowledgeBase(ExpSumError):
     """A knowledge base file is not well-formed JSON of the current format."""
+
+
+def one_line(message: str) -> str:
+    """``message`` with CR and LF escaped, so that a diagnostic quoting
+    multi-line text (a backend's error page, say) stays one stderr line."""
+    return message.replace("\r", "\\r").replace("\n", "\\n")

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
+from typing import Collection, Optional
 
 from .errors import ClientFailure, EmptyCorpus, IoFailure, MalformedKnowledgeBase
 
@@ -241,16 +242,20 @@ def _semantic_candidates(doc: PackageDoc, lexical: set[str]) -> list[tuple[str, 
     return candidates
 
 
-def extract_terms_semantic(doc: PackageDoc, client) -> list[str]:
+def extract_terms_semantic(
+    doc: PackageDoc, client, *, lexical: Optional[Collection[str]] = None
+) -> list[str]:
     """Words in plain lexical form whose synonym substitution would change
     the sentence meaning, as judged by the client.
 
     The client must answer ``changed`` or ``preserved``; anything else is a
     malformed payload. Failures carry the document's path context.
+    ``lexical`` is the doc's ``extract_terms_lexical`` result, which is
+    never judged; it is computed here when not given.
     """
     from .llm import LlmRequest
 
-    lexical = set(extract_terms_lexical(doc))
+    lexical = set(extract_terms_lexical(doc) if lexical is None else lexical)
     terms: list[str] = []
     for word, sentence in _semantic_candidates(doc, lexical):
         prompt = (
@@ -298,7 +303,7 @@ def build_knowledge_base(
     entries: list[KnowledgeEntry] = []
     for doc in docs:
         terms = extract_terms_lexical(doc)
-        for term in extract_terms_semantic(doc, client):
+        for term in extract_terms_semantic(doc, client, lexical=terms):
             if term not in terms:
                 terms.append(term)
         vector = encode_tfidf(model, doc.text)

@@ -8,14 +8,11 @@ variables EXPSUM_API_KEY, EXPSUM_API_BASE, and EXPSUM_MODEL.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
+import sys
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Protocol
@@ -160,7 +157,15 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout: float):
 
     A URL that is not http(s) is a network error, as no connection to it
     can be made; ``urllib`` would otherwise read ``file:`` and ``data:``
-    URLs."""
+    URLs.
+
+    The HTTP stack (``urllib.request`` pulls in ``http.client``, ``ssl`` and
+    ``email``) is imported on the first call, so a process that never posts
+    through this transport never loads it."""
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
     if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
         raise urllib.error.URLError(f"not an http(s) URL: {url!r}")
     request = urllib.request.Request(
@@ -175,6 +180,14 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout: float):
     except urllib.error.HTTPError as e:  # an OSError, which would be retried
         with e:
             return e.code, e.read().decode("utf-8", errors="replace")
+
+
+def _network_errors() -> tuple[type[BaseException], ...]:
+    """The exceptions a transport raises for a network failure: ``OSError``
+    and ``http.client.HTTPException``. No ``HTTPException`` can exist before
+    ``http.client`` is loaded, so it is looked up, never imported."""
+    client = sys.modules.get("http.client")
+    return (OSError,) if client is None else (OSError, client.HTTPException)
 
 
 class HttpLlmClient:
@@ -235,7 +248,7 @@ class HttpLlmClient:
             try:
                 status, body = self.transport(self._url(), headers, payload, self.timeout)
                 break
-            except (OSError, http.client.HTTPException) as e:
+            except _network_errors() as e:
                 if attempt >= self.retries:
                     raise ClientFailure(
                         f"network failure after {attempt + 1} attempts: {e}",

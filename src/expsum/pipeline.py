@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .code_model import FunctionRecord, model_function
 from .config import PipelineConfig, build_client
-from .errors import ConfigError
+from .errors import ConfigError, one_line
 from .knowledge_base import KnowledgeEntry, TfIdfModel, load_knowledge_base
 from .llm import LlmClient
 from .metadata_check import UninformativeDictionary, check_metadata, load_dictionary
@@ -67,7 +67,8 @@ class Pipeline:
         output line.
 
         Any exception becomes ``{"id", "error": <exception type name>}`` and
-        a ``warning:`` line on stderr, so one bad record never ends a run.
+        one ``warning:`` line on stderr (CR and LF in the message escaped),
+        so one bad record never ends a run.
         """
         record_id = record["id"]
         try:
@@ -77,7 +78,9 @@ class Pipeline:
             result = summarize(checked.retained, hits, self.client, self.summarizer)
         except Exception as e:  # the record's error line is the report
             with _STDERR_LOCK:
-                sys.stderr.write(f"warning: record {record_id!r} failed: {type(e).__name__}: {e}\n")
+                sys.stderr.write(
+                    one_line(f"warning: record {record_id!r} failed: {type(e).__name__}: {e}") + "\n"
+                )
             return {"id": record_id, "error": type(e).__name__}
         return {
             "id": record_id,

@@ -106,17 +106,41 @@ class TestKbBuild:
             ({"a": 1}, "is not a list"),
             ([{"text": "x"}], "item 0: not an object with string 'path_context' and 'text'"),
             ([{"path_context": "p", "text": "x"}, 3], "item 1: not an object"),
+            ([{"path_context": "p", "text": "x"}, {"path_context": "", "text": "y"}],
+             "item 1: PackageDoc.path_context must be non-empty"),
+            ("[1,", "not valid JSON"),
         ],
-        ids=["object", "missing-key", "non-object-item"],
+        ids=["object", "missing-key", "non-object-item", "empty-path-context", "not-json"],
     )
     def test_ill_shaped_manifest_is_one_error_line(self, tmp_path, capsys, manifest, expected):
         path = tmp_path / "docs.json"
-        path.write_text(json.dumps(manifest), encoding="utf-8")
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        path.write_text(text, encoding="utf-8")
         assert main(["kb-build", str(path), "--out", str(tmp_path / "kb.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: manifest {path} ")
         assert expected in err and err.count("\n") == 1
         assert not (tmp_path / "kb.json").exists()
+
+    def test_non_utf8_doc_names_the_file(self, tmp_path, capsys):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a.txt").write_text("Plain AVSession text.", encoding="utf-8")
+        (docs / "b.txt").write_bytes(b"abc\xff\xfe")
+        assert main(["kb-build", str(docs), "--out", str(tmp_path / "kb.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {docs / 'b.txt'}: not UTF-8 text ")
+        assert err.count("\n") == 1
+
+    def test_multi_line_backend_error_is_one_error_line(self, fixture_paths, capsys, monkeypatch):
+        page = "<html>\r\n<body>Bad gateway</body>\n</html>"
+        monkeypatch.setattr("expsum.llm._default_transport", lambda *args: (502, page))
+        argv = ["kb-build", str(fixture_paths["docs"]), "--out", str(fixture_paths["kb"]),
+                "--backend", "http", "--api-base", "http://llm.test/v1", "--model", "m"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ClientFailure: ") and err.count("\n") == 1
+        assert "HTTP 502: <html>\\r\\n<body>Bad gateway</body>\\n</html>" in err
 
 
 class TestExtractAndCheck:
@@ -158,17 +182,19 @@ class TestExtractAndCheck:
         "record, expected",
         [
             ([1], "record is not an object"),
+            ({"id": 1}, "record has no 'function'"),
             ({"function": {"file_path": "a.ts", "source_text": "", "language": 5}},
              "metadata field 'function.language' must be a string"),
         ],
-        ids=["non-object", "ill-typed-language"],
+        ids=["non-object", "missing-function", "ill-typed-language"],
     )
     def test_extract_ill_shaped_record(self, tmp_path, capsys, record, expected):
         path = tmp_path / "record.json"
         path.write_text(json.dumps(record), encoding="utf-8")
         assert main(["extract", "--record", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: ") and expected in err
+        assert err.startswith(f"error: ValueError: {path}: ") and expected in err
+        assert err.count("\n") == 1
 
     def test_check_roundtrip(self, tmp_path, capsys):
         metadata = {

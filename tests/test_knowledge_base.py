@@ -272,6 +272,44 @@ class TestBuildKnowledgeBase:
         _, entries = build_knowledge_base(docs, client)
         assert [e.term for e in entries] == ["AVSession", "parcelable"]
 
+    def test_lexical_terms_extracted_once_per_doc(self, shared_context_docs, monkeypatch):
+        """The build judges exactly what a separate lexical and semantic pass
+        would, and runs the lexical pass once per doc."""
+        # Alphabetic lexical terms (MEDIA, PowerStatus) must stay unjudged.
+        docs = shared_context_docs + [
+            PackageDoc(path_context="ohos.flags", text="The MEDIA flag; PowerStatus power store."),
+        ]
+
+        def judge():
+            rules = tuple(
+                MockRule(matcher=f"Word: {w}\n", response="changed") for w in ("media", "store")
+            )
+            return MockLlmClient(MockScript(rules=rules, default="preserved"))
+
+        def separate_passes(docs, client):
+            model = fit_tfidf(docs)
+            entries = []
+            for doc in docs:
+                terms = extract_terms_lexical(doc)
+                terms += [t for t in extract_terms_semantic(doc, client) if t not in terms]
+                vector = encode_tfidf(model, doc.text)
+                entries += [KnowledgeEntry(t, doc.text, doc.path_context, vector) for t in terms]
+            return model, entries
+
+        expected_client = judge()
+        expected = kb_to_json(*separate_passes(docs, expected_client))
+
+        passes = []
+        monkeypatch.setattr(
+            "expsum.knowledge_base.extract_terms_lexical",
+            lambda doc: passes.append(doc) or extract_terms_lexical(doc),
+        )
+        client = judge()
+        assert kb_to_json(*build_knowledge_base(docs, client)) == expected
+        assert client.calls == expected_client.calls
+        assert not any("Word: MEDIA\n" in c.user_prompt for c in client.calls)
+        assert passes == docs
+
     def test_rebuild_is_byte_identical(self, three_doc_corpus):
         client = MockLlmClient(MockScript(default="preserved"))
         first = kb_to_json(*build_knowledge_base(three_doc_corpus, client))
