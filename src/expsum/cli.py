@@ -20,7 +20,8 @@ from .code_model import (
     DmtConfig,
     FunctionRecord,
     Language,
-    deserialize_metadata,
+    MetadataSet,
+    metadata_from_dict,
     metadata_to_dict,
     model_function,
 )
@@ -44,15 +45,24 @@ def _log(message: str) -> None:
 
 def _read_jsonl(path: Path):
     """Yield ``(line number, object)`` for each non-blank line of a JSON-lines
-    file; a line that is not a JSON object is a ``ValueError`` naming the
-    file and line."""
-    with open(path, encoding="utf-8") as fh:
+    file; a line that is not UTF-8 text or not a JSON object is a
+    ``ValueError`` naming the file and line."""
+    # surrogateescape reads on past a byte that is not UTF-8, as a lone
+    # surrogate, so the line holding it can be named.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:
+                byte, column = ord(line[e.start]) - 0xDC00, e.start + 1
+                raise ValueError(
+                    f"{path} line {line_no}: not UTF-8 text (byte 0x{byte:02x} at column {column})"
+                ) from None
+            try:
                 record = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
                 raise ValueError(f"{path} line {line_no}: not valid JSON ({e})") from None
             if not isinstance(record, dict):
                 raise ValueError(f"{path} line {line_no}: record is not an object")
@@ -89,10 +99,23 @@ def _read_text(path: Path) -> str:
 def _read_json(path: Path, what: str):
     """The JSON value in ``path``; text that is not JSON is a ``ValueError``
     naming ``what`` and the file."""
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
         raise ValueError(f"{what} {path} is not valid JSON ({e})") from None
+
+
+def _read_metadata(path: Path) -> MetadataSet:
+    """The metadata set in the JSON file ``path``; any fault is a
+    ``ValueError`` naming the file."""
+    data = _read_json(path, "metadata")
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: metadata is not a JSON object")
+    try:
+        return metadata_from_dict(data)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def _load_package_docs(corpus: Path) -> list[PackageDoc]:
@@ -181,14 +204,14 @@ def cmd_check(args) -> int:
         args.dictionary
         or config_module.packaged_data_path("uninformative_dictionary.txt")
     )
-    metadata = deserialize_metadata(Path(args.metadata).read_text(encoding="utf-8"))
+    metadata = _read_metadata(Path(args.metadata))
     report = check_metadata(metadata, dictionary)
     print(json.dumps(report.to_dict(), indent=2, ensure_ascii=False))
     return 0
 
 
 def cmd_retrieve(args) -> int:
-    metadata = deserialize_metadata(Path(args.metadata).read_text(encoding="utf-8"))
+    metadata = _read_metadata(Path(args.metadata))
     kb = load_knowledge_base(args.kb)
     cfg = RetrievalConfig(
         path_overlap_threshold=args.path_threshold,

@@ -12,6 +12,7 @@ import functools
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .code_model import METADATA_FIELD_ORDER, MetadataSet
 from .knowledge_base import (
@@ -186,7 +187,9 @@ def stage2_rank(
     )
 
 
-def _counter_overlap(tokens_i: Counter, tokens_j: Counter) -> float:
+def token_overlap(t_i: str, t_j: str) -> float:
+    """Shared-token ratio between two terms, relative to the longer term."""
+    tokens_i, tokens_j = Counter(tokenize(t_i)), Counter(tokenize(t_j))
     longer = max(sum(tokens_i.values()), sum(tokens_j.values()))
     if longer == 0:
         return 0.0
@@ -194,26 +197,37 @@ def _counter_overlap(tokens_i: Counter, tokens_j: Counter) -> float:
     return shared / longer
 
 
-def token_overlap(t_i: str, t_j: str) -> float:
-    """Shared-token ratio between two terms, relative to the longer term."""
-    return _counter_overlap(Counter(tokenize(t_i)), Counter(tokenize(t_j)))
+# KB terms repeat across every query, so each term's token counts and total
+# are computed once per process; like ``_context_tokens``, the cache is
+# bounded by the knowledge bases loaded, since ``retrieve`` passes only KB
+# terms. The counts are a read-only view, so no caller can corrupt them.
+@functools.cache
+def _term_counts(term: str) -> tuple[MappingProxyType, int]:
+    counts = Counter(tokenize(term))
+    return MappingProxyType(dict(counts)), sum(counts.values())
 
 
 def stage3_dedup(terms: list[str], cfg: RetrievalConfig) -> list[str]:
     """Collapse exact duplicates, then drop every term that is a
     sufficiently overlapping (:func:`token_overlap`), strictly shorter (by
     characters) variant of another term. Survivors keep their original
-    order."""
-    tokens = {term: Counter(tokenize(term)) for term in terms}
-    return [
-        t_i
-        for t_i in tokens
-        if not any(
-            len(t_i) < len(t_j)
-            and _counter_overlap(tokens[t_i], tokens[t_j]) >= cfg.token_overlap_threshold
-            for t_j in tokens
-        )
-    ]
+    order.
+
+    A pair's overlap is the integer sum of per-token minimum counts over
+    the longer total, the integers ``Counter.__and__`` gives, so the ratio
+    is exactly :func:`token_overlap`'s."""
+    counts = {term: _term_counts(term) for term in terms}
+    threshold = cfg.token_overlap_threshold
+    kept: list[str] = []
+    for t_i, (counts_i, total_i) in counts.items():
+        for t_j, (counts_j, total_j) in counts.items():
+            if len(t_i) < len(t_j) and (total_i or total_j):
+                shared = sum(min(n, counts_j.get(token, 0)) for token, n in counts_i.items())
+                if shared / max(total_i, total_j) >= threshold:
+                    break
+        else:
+            kept.append(t_i)
+    return kept
 
 
 def retrieve(

@@ -212,6 +212,9 @@ def build_draft_prompt(
     terms: list[str],
     schemas: list[CategorySchema],
     excluded: set[FunctionCategory],
+    *,
+    metadata_json: Optional[str] = None,
+    schema_texts: Optional[list[str]] = None,
 ) -> LlmRequest:
     """Assemble the draft-stage request.
 
@@ -219,19 +222,24 @@ def build_draft_prompt(
     retrieved domain terms, and the constraint schemas of every
     non-excluded category; the model must answer with a category marker and
     a summary body.
+
+    A caller building several prompts for one record may pass
+    ``metadata_json`` (``serialize_metadata(meta)``) and ``schema_texts``
+    (each schema rendered, in ``schemas`` order) made once; the prompt is
+    the same either way.
     """
     covered = {s.category for s in schemas}
     if covered != set(CATEGORY_ORDER):
         raise ValueError("schemas must cover all five categories")
-    candidates = [s for s in schemas if s.category not in excluded]
+    candidates = [i for i, s in enumerate(schemas) if s.category not in excluded]
     if not candidates:
         raise AllCategoriesExcluded("every function category was ruled out")
 
-    allowed = ", ".join(s.category.value for s in candidates)
+    allowed = ", ".join(schemas[i].category.value for i in candidates)
     sections = [
         "Write a draft summary for the function described below.",
         "## Function metadata",
-        serialize_metadata(meta),
+        serialize_metadata(meta) if metadata_json is None else metadata_json,
         "## Knowledge entries",
         "Domain terms retrieved for this function; use them verbatim where "
         "they fit:",
@@ -245,7 +253,10 @@ def build_draft_prompt(
         "Decide which one category fits the function, using these "
         "constraint schemas:"
     )
-    sections.extend(_render_schema(s) for s in candidates)
+    sections.extend(
+        _render_schema(schemas[i]) if schema_texts is None else schema_texts[i]
+        for i in candidates
+    )
     sections.append("## Output format")
     sections.append(
         "Reply with exactly two lines:\n"
@@ -283,14 +294,19 @@ def parse_draft(response: LlmResponse) -> DraftResult:
 
 
 def build_refine_prompt(
-    meta: MetadataSet, draft: DraftResult, refiner_constraints: list[str]
+    meta: MetadataSet,
+    draft: DraftResult,
+    refiner_constraints: list[str],
+    *,
+    metadata_json: Optional[str] = None,
 ) -> LlmRequest:
     """Assemble the refine-stage request: validate the declared category,
-    then polish the draft under the given constraints."""
+    then polish the draft under the given constraints. ``metadata_json``,
+    if given, is ``serialize_metadata(meta)`` made once by the caller."""
     sections = [
         "Review the draft summary below against the function metadata.",
         "## Function metadata",
-        serialize_metadata(meta),
+        serialize_metadata(meta) if metadata_json is None else metadata_json,
         "## Draft",
         f"Declared category: {draft.declared_category.value}",
         f"Summary: {draft.summary_text}",
@@ -356,8 +372,11 @@ def summarize(
 
     A rejection excludes the rejected category from the next draft's
     candidate space. If the bound is reached without acceptance, the last
-    draft text is returned flagged as degraded.
+    draft text is returned flagged as degraded. The metadata is serialized
+    and each schema rendered once per call, for every prompt.
     """
+    metadata_json = serialize_metadata(meta)
+    schema_texts = [_render_schema(s) for s in cfg.schemas]
     excluded: set[FunctionCategory] = set()
     trace: list[tuple[DraftResult, RefinementOutcome]] = []
 
@@ -372,11 +391,16 @@ def summarize(
 
     draft: Optional[DraftResult] = None
     for iteration in range(1, cfg.max_iterations + 1):
-        draft_req = build_draft_prompt(meta, retrieval.terms, cfg.schemas, excluded)
+        draft_req = build_draft_prompt(
+            meta, retrieval.terms, cfg.schemas, excluded,
+            metadata_json=metadata_json, schema_texts=schema_texts,
+        )
         draft = _complete_parsed(
             client, draft_req, parse_non_excluded_draft, cfg.max_parse_retries
         )
-        refine_req = build_refine_prompt(meta, draft, cfg.refiner_constraints)
+        refine_req = build_refine_prompt(
+            meta, draft, cfg.refiner_constraints, metadata_json=metadata_json
+        )
         outcome = _complete_parsed(
             client, refine_req, parse_refinement, cfg.max_parse_retries
         )

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import sys
 import tempfile
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsum import pipeline as pipeline_module
-from expsum.cli import main
+from expsum.cli import _load_corpus_records, main
 from expsum.config import load_pipeline_config, packaged_data_path, resolve_setting
 from expsum.errors import ConfigError
 from expsum.knowledge_base import load_knowledge_base
@@ -265,6 +266,33 @@ class TestRetrieveCommand:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "retrieve"])
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (b'{"function_name": "\xff"}', "{path}: not UTF-8 text (invalid start byte at byte 19)"),
+        (b'{"function_name": ', "metadata {path} is not valid JSON (Expecting value: line 1"),
+        (b'["f"]', "{path}: metadata is not a JSON object"),
+        (b'{"dmt": 3}', "{path}: metadata field 'dmt' must be an object of strings, not 3"),
+    ],
+    ids=["not-utf8", "truncated", "non-object", "ill-typed-field"],
+)
+def test_bad_metadata_file_is_one_error_line_naming_it(
+    fixture_paths, capsys, command, content, expected
+):
+    path = fixture_paths["config"].parent / "meta.json"
+    path.write_bytes(content)
+    argv = [command, "--metadata", str(path)]
+    if command == "retrieve":
+        argv += ["--kb", str(build_kb(fixture_paths))]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueError: " + expected.format(path=path))
+    assert captured.err.count("\n") == 1
+
+
 class TestBadKnowledgeBase:
     """An unusable KB file is one typed error line naming the file, for
     both commands that load one."""
@@ -401,6 +429,34 @@ def test_config_loader_raises_only_config_error(config):
             load_pipeline_config(path, env={})
         except ConfigError as e:
             assert "\n" not in str(e)
+
+
+# Corpus bytes: binary noise, or lines of JSON-ish fragments with bytes that
+# are not UTF-8 (a lone continuation byte, a cut-off sequence, 0xff) and
+# every newline form mixed in.
+corpus_fragments = st.sampled_from(
+    [b"{", b"}", b"[", b"]", b":", b",", b" ", b'"', b"\\", b'"id"', b'"function"', b'"x"',
+     b"1", b"1.5", b"-", b"NaN", b"null", b"true", b"{}", b"\xff", b"\x80", b"\xc3", b"\xe2\x82",
+     "\u00e9".encode(), b"\n", b"\r", b"\r\n", b"\t"]
+)
+corpus_bytes = st.binary(max_size=120) | st.lists(
+    st.lists(corpus_fragments, max_size=12).map(b"".join), max_size=6
+).map(b"\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_bytes)
+def test_corpus_loader_raises_only_value_error_naming_path_and_line(data):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "corpus.jsonl"
+        path.write_bytes(data)
+        try:
+            records = _load_corpus_records(path)
+        except ValueError as e:
+            assert type(e) is ValueError
+            assert re.match(rf"{re.escape(str(path))} line [1-9][0-9]*: ", str(e)), str(e)
+        else:
+            assert all(isinstance(r, dict) for r in records)
 
 
 class TestSchemaFileTypes:
@@ -606,14 +662,18 @@ class TestSummarizeCommand:
             ('{"function": {}}', "line 4: record without a string or number id"),
             ('{"id": NaN}', "line 4: record without a string or number id"),
             ('{"id": -Infinity}', "line 4: record without a string or number id"),
+            (b'{"id": "z\xff", "function": {}}', "line 4: not UTF-8 text (byte 0xff at column 10)"),
+            ("[" * 100_000, "line 4: not valid JSON (maximum recursion depth exceeded"),
+            ('{"id": ' + "9" * 5000 + "}", "line 4: not valid JSON (Exceeds the limit"),
         ],
         ids=["not-json", "list-id", "duplicate-id", "true-id", "false-id", "null-id",
-             "empty-string-id", "object-id", "missing-id", "nan-id", "infinite-id"],
+             "empty-string-id", "object-id", "missing-id", "nan-id", "infinite-id",
+             "not-utf8", "too-deep", "too-many-digits"],
     )
     def test_bad_corpus_line_is_one_error_line(self, fixture_paths, capsys, line, expected):
         build_kb(fixture_paths)
-        with open(fixture_paths["corpus"], "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        with open(fixture_paths["corpus"], "ab") as fh:
+            fh.write((line if isinstance(line, bytes) else line.encode()) + b"\n")
         capsys.readouterr()
         out = fixture_paths["config"].parent / "out.jsonl"
         argv = ["summarize", str(fixture_paths["corpus"]),
@@ -787,6 +847,25 @@ class TestEvaluateCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: ValueError: {generated} line 2: record is not an object\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
+    def test_non_utf8_line_is_one_error_line(self, tmp_path, capsys):
+        generated = tmp_path / "gen.jsonl"
+        generated.write_bytes(b'{"id": "a", "candidate": "caf\xe9"}\n')
+        references = tmp_path / "ref.jsonl"
+        references.write_text(json.dumps({"id": "a", "reference": "x"}) + "\n")
+        code = main(
+            [
+                "evaluate",
+                "--generated", str(generated),
+                "--references", str(references),
+                "--report", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {generated} line 1: not UTF-8 text (byte 0xe9 at column 30)\n"
         )
         assert not (tmp_path / "report.json").exists()
 

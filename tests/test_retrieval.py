@@ -38,6 +38,16 @@ CFG = RetrievalConfig()
 # characters whose lowercase form is longer), plus arbitrary text.
 path_texts = st.text(st.sampled_from("/.@aAbBzZ0_ éÉßİı"), max_size=12) | st.text(max_size=12)
 
+# KB-like terms: camel case, all-caps runs, digits, ``_``-joined words,
+# repeated tokens and terms with no tokens at all (``"__"``).
+term_texts = st.lists(
+    st.sampled_from(
+        ["AV", "Session", "session", "Controller", "MEDIA", "KEY", "data", "Data", "RDB",
+         "Store", "v10", "2", "__", "_", " ", "."]
+    ),
+    max_size=5,
+).map("".join)
+
 
 # -- exhaustive reference implementation (no shared code with the cascade) ----
 
@@ -303,6 +313,32 @@ class TestStage3:
         # removal requires strictly fewer characters, not just full overlap
         kept = stage3_dedup(["media store", "store media"], CFG)
         assert kept == ["media store", "store media"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(term_texts, max_size=8),
+        st.sampled_from([0.25, 0.5, 2 / 3, 0.75, 1.0]) | st.floats(0.01, 1.0),
+    )
+    def test_matches_naive_token_overlap_on_cold_and_warm_cache(self, terms, threshold):
+        cfg = RetrievalConfig(token_overlap_threshold=threshold)
+        unique = list(dict.fromkeys(terms))
+        expected = [
+            t
+            for t in unique
+            if not any(len(t) < len(u) and token_overlap(t, u) >= threshold for u in unique)
+        ]
+        assert stage3_dedup(terms, cfg) == expected
+        assert stage3_dedup(terms, cfg) == expected
+
+    def test_cached_term_counts_are_immutable(self):
+        counts, total = retrieval._term_counts("AVSession data_data 10")
+        assert (dict(counts), total) == ({"av": 1, "session": 1, "data": 2, "10": 1}, 5)
+        with pytest.raises(TypeError):
+            counts["av"] = 7
+        with pytest.raises(AttributeError):
+            counts.clear()
+        assert retrieval._term_counts("AVSession data_data 10") == (counts, 5)
+        assert retrieval._term_counts("AVSession data_data 10")[0] is counts
 
 
 class TestRetrieve:

@@ -407,6 +407,59 @@ class TestSummarizeLoop:
         assert a.iterations == b.iterations
 
 
+class SequenceClient:
+    """Answers with ``replies`` in order and records every request."""
+
+    def __init__(self, replies):
+        self.replies = iter(replies)
+        self.requests = []
+
+    def complete(self, req):
+        self.requests.append(req)
+        return response(next(self.replies))
+
+
+def test_summarize_sends_exactly_the_positional_builders_prompts(
+    schemas, constraints, startup_visibility_metadata
+):
+    """``summarize`` hands the builders metadata and schema texts made once
+    per call; the prompts must equal those of the builders' positional call
+    forms, through a parse retry, a mislabeled rejection and a degraded
+    ending at the iteration bound."""
+    meta, terms = startup_visibility_metadata, ["ability", "StartupVisibility"]
+    client = SequenceClient(
+        [
+            "no category here",  # parse retry of the first draft
+            "CATEGORY: procedural\nSUMMARY: Sets the watcher.",
+            "Error category: procedural",
+            "CATEGORY: field\nSUMMARY: Indicates the statuses.",
+            "Error category: callback",  # mislabeled: excludes field and callback
+            "CATEGORY: utility\nSUMMARY: Helps with visibility.",
+            "Error category: utility",
+        ]
+    )
+    result = summarize(
+        meta, retrieval(terms), client, config(schemas, constraints, max_iterations=3)
+    )
+    assert result.degraded and result.iterations == 3
+    assert result.final_summary == "Helps with visibility."
+
+    def draft(category, text):
+        return parse_draft(response(f"CATEGORY: {category}\nSUMMARY: {text}"))
+
+    P, F, C = FunctionCategory.PROCEDURAL, FunctionCategory.FIELD, FunctionCategory.CALLBACK
+    first_draft = build_draft_prompt(meta, terms, schemas, set())
+    assert client.requests == [
+        first_draft,
+        first_draft,
+        build_refine_prompt(meta, draft("procedural", "Sets the watcher."), constraints),
+        build_draft_prompt(meta, terms, schemas, {P}),
+        build_refine_prompt(meta, draft("field", "Indicates the statuses."), constraints),
+        build_draft_prompt(meta, terms, schemas, {P, F, C}),
+        build_refine_prompt(meta, draft("utility", "Helps with visibility."), constraints),
+    ]
+
+
 # -- Hypothesis properties ----------------------------------------------------
 
 fragments = st.sampled_from(
