@@ -121,7 +121,7 @@ def load_pipeline_config(
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too many digits, too deep
         raise ConfigError(f"invalid config JSON {path}: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")

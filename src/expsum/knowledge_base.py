@@ -3,9 +3,10 @@
 Each entry is a 4-tuple: the term, the documentation it came from, the path
 context (package root) of that documentation, and a sparse TF-IDF vector of
 the documentation. All entries of one document share that document's text
-and vector object, and the saved file stores each document once. Terms are
-found lexically (special-form expressions) and semantically (words whose
-synonym substitution would change sentence meaning, judged by an LLM).
+and vector object, and the saved file stores each datum once: each
+document, each distinct term and each model token. Terms are found
+lexically (special-form expressions) and semantically (words whose synonym
+substitution would change sentence meaning, judged by an LLM).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Collection, Optional
 
@@ -322,7 +323,7 @@ def build_knowledge_base(
 # -- persistence -------------------------------------------------------------
 
 #: Version of the saved file layout; files of any other version are refused.
-KB_FORMAT = 4
+KB_FORMAT = 5
 
 #: The packed columns' ``array`` codes, with the width in bytes and the
 #: meaning of one item. Columns are little-endian on every host.
@@ -347,17 +348,33 @@ def _pack(code: str, values: list, what: str) -> str:
 
 
 def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
-    """Render the knowledge base as format-4 JSON.
+    """Render the knowledge base as format-5 JSON, which stores each datum
+    once.
 
-    ``docs`` holds one column per field over each distinct (path context,
-    text, vector) in order of first use by an entry: ``path_contexts`` and
-    ``texts``, each vector's entry count in ``sizes``, and all vectors'
-    ascending ``indices`` and their ``weights`` end to end. ``entries``
-    holds each entry's term and the index of its doc. Numeric columns are
-    packed little-endian (``sizes``, ``indices`` and entry ``docs`` as
-    unsigned 32-bit integers, ``weights`` as 64-bit floats) and
-    base64-encoded; a value that does not fit raises ``ValueError``.
+    ``model`` holds the frequency keys once, sorted, as ``tokens``, with two
+    lists aligned with them: ``doc_frequency``, and ``vocabulary`` (each
+    token's index, or ``null`` for a token without one). ``docs`` holds one
+    column per field over each distinct (path context, text, vector) in
+    order of first use by an entry: ``path_contexts`` and ``texts``, each
+    vector's entry count in ``sizes``, and all vectors' ascending
+    ``indices`` and their ``weights`` end to end; these three columns are
+    packed little-endian (unsigned 32-bit integers, 64-bit floats for the
+    weights) and base64-encoded. ``entries`` holds ``terms``, each distinct
+    term once in order of first use, one index into it per entry in
+    ``term_refs``, and the entries' docs as runs of consecutive entries of
+    one doc: the doc's position in ``run_docs`` and the run's length in
+    ``run_lengths``.
+
+    Raises ``ValueError`` for a packed value that does not fit and for a
+    vocabulary token without a document frequency.
     """
+    missing = model.vocabulary.keys() - model.doc_frequency.keys()
+    if missing:
+        raise ValueError(
+            "cannot save the knowledge base: vocabulary token "
+            f"{min(missing)!r} has no document frequency"
+        )
+    tokens = sorted(model.doc_frequency)
     contexts: list[str] = []
     texts: list[str] = []
     sizes: list[int] = []
@@ -365,8 +382,10 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
     weights: list[float] = []
     doc_index: dict[tuple, int] = {}
     sorted_items: dict[int, tuple] = {}  # id of a vector object -> its sorted items
-    terms: list[str] = []
-    refs: list[int] = []
+    terms: dict[str, int] = {}  # term -> its place in the term table
+    term_refs: list[int] = []
+    run_docs: list[int] = []
+    run_lengths: list[int] = []
     for e in entries:
         items = sorted_items.get(id(e.vector))
         if items is None:
@@ -380,14 +399,19 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
             sizes.append(len(items))
             indices.extend(i for i, _ in items)
             weights.extend(w for _, w in items)
-        terms.append(e.term)
-        refs.append(index)
+        term_refs.append(terms.setdefault(e.term, len(terms)))
+        if run_docs and run_docs[-1] == index:
+            run_lengths[-1] += 1
+        else:
+            run_docs.append(index)
+            run_lengths.append(1)
     payload = {
         "format": KB_FORMAT,
         "model": {
-            "vocabulary": model.vocabulary,
+            "tokens": tokens,
+            "doc_frequency": [model.doc_frequency[t] for t in tokens],
+            "vocabulary": [model.vocabulary.get(t) for t in tokens],
             "doc_count": model.doc_count,
-            "doc_frequency": model.doc_frequency,
             "alpha": model.alpha,
         },
         "docs": {
@@ -397,7 +421,12 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
             "indices": _pack("I", indices, "a vector index"),
             "weights": _pack("d", weights, "a vector weight"),
         },
-        "entries": {"terms": terms, "docs": _pack("I", refs, "a doc index")},
+        "entries": {
+            "terms": list(terms),
+            "term_refs": term_refs,
+            "run_docs": run_docs,
+            "run_lengths": run_lengths,
+        },
     }
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return text + "\n"
@@ -433,19 +462,28 @@ def _only(values: list, kinds: set) -> bool:
     return set(map(type, values)) <= kinds
 
 
+def _positions(values: list, bound: int, where: str, what: str) -> None:
+    """Check that ``values`` are integers in ``range(bound)``."""
+    if not _only(values, {int}):
+        raise MalformedKnowledgeBase(f"{where} holds a non-integer")
+    if values and not 0 <= min(values) <= max(values) < bound:
+        bad = next(v for v in values if not 0 <= v < bound)
+        raise MalformedKnowledgeBase(f"{where} holds {bad}, not one of the {bound} {what}")
+
+
 def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    """Parse format-4 JSON (see :func:`kb_to_json`); the entries of one doc
-    share its text and vector object.
+    """Parse format-5 JSON (see :func:`kb_to_json`); the entries of one doc
+    share its text and vector object, and the entries of one term share
+    its string.
 
     Raises :class:`MalformedKnowledgeBase` for text that is not a well-formed
-    format-4 knowledge base, files of an older format included, and for a
+    format-5 knowledge base, files of an older format included, and for a
     model whose values ``idf`` cannot use: ``doc_count`` or a frequency
-    below 1, a negative or non-finite ``alpha``, or a vocabulary token without
-    a frequency.
+    below 1, or a negative or non-finite ``alpha``.
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
         raise MalformedKnowledgeBase(f"not valid JSON: {e}") from None
     del text  # only the parsed payload is needed from here on
     if not isinstance(payload, dict):
@@ -459,35 +497,50 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     m = _section(payload, "model", dict, "")
     raw_docs = _section(payload, "docs", dict, "")
     raw_entries = _section(payload, "entries", dict, "")
+    tokens = _section(m, "tokens", list, "'model' ")
+    frequencies = _section(m, "doc_frequency", list, "'model' ")
+    vocabulary = _section(m, "vocabulary", list, "'model' ")
     contexts = _section(raw_docs, "path_contexts", list, "'docs' ")
     texts = _section(raw_docs, "texts", list, "'docs' ")
     sizes = _column(raw_docs, "sizes", "I", "'docs' ")
     indices = _column(raw_docs, "indices", "I", "'docs' ")
     weights = _column(raw_docs, "weights", "d", "'docs' ")
     terms = _section(raw_entries, "terms", list, "'entries' ")
-    refs = _column(raw_entries, "docs", "I", "'entries' ")
+    term_refs = _section(raw_entries, "term_refs", list, "'entries' ")
+    run_docs = _section(raw_entries, "run_docs", list, "'entries' ")
+    run_lengths = _section(raw_entries, "run_lengths", list, "'entries' ")
     del payload, raw_docs, raw_entries  # frees the base64 text of the columns
+    if not len(tokens) == len(frequencies) == len(vocabulary):
+        raise MalformedKnowledgeBase(
+            f"'model' has {len(tokens)} tokens, {len(frequencies)} frequencies "
+            f"and {len(vocabulary)} vocabulary indices"
+        )
+    if not _only(tokens, {str}):
+        raise MalformedKnowledgeBase("'model' 'tokens' holds a non-string")
+    if any(a >= b for a, b in zip(tokens, islice(tokens, 1, None))):
+        raise MalformedKnowledgeBase("'model' 'tokens' are not in strictly ascending order")
+    if not _only(frequencies, {int}):
+        raise MalformedKnowledgeBase("'model' 'doc_frequency' holds a non-integer")
+    if not _only(vocabulary, {int, type(None)}):
+        raise MalformedKnowledgeBase("'model' 'vocabulary' holds neither an integer nor null")
     try:
         model = TfIdfModel(
-            vocabulary={k: int(v) for k, v in m["vocabulary"].items()},
+            vocabulary={t: i for t, i in zip(tokens, vocabulary) if i is not None},
             doc_count=int(m["doc_count"]),
-            doc_frequency={k: int(v) for k, v in m["doc_frequency"].items()},
+            doc_frequency=dict(zip(tokens, frequencies)),
             alpha=float(m["alpha"]),
         )
-    except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise MalformedKnowledgeBase(
             f"'model' lacks a key or has an ill-typed value ({type(e).__name__}: {e})"
         ) from None
     # idf() divides by doc_frequency + alpha and takes the log of doc_count
     if model.doc_count < 1:
         raise MalformedKnowledgeBase(f"'model' 'doc_count' {model.doc_count} is below 1")
-    if min(model.doc_frequency.values(), default=1) < 1:
+    if min(frequencies, default=1) < 1:
         raise MalformedKnowledgeBase("'model' 'doc_frequency' holds a count below 1")
     if not 0.0 <= model.alpha < math.inf:
         raise MalformedKnowledgeBase(f"'model' 'alpha' {model.alpha} is negative or not finite")
-    if not model.vocabulary.keys() <= model.doc_frequency.keys():
-        missing = next(k for k in model.vocabulary if k not in model.doc_frequency)
-        raise MalformedKnowledgeBase(f"'model' 'doc_frequency' lacks vocabulary token {missing!r}")
     if not len(contexts) == len(texts) == len(sizes):
         raise MalformedKnowledgeBase(
             f"'docs' has {len(contexts)} path contexts, {len(texts)} texts "
@@ -513,21 +566,28 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
             raise MalformedKnowledgeBase(f"'docs' 'indices' repeats an index in doc {n}")
         vectors.append(SparseVector(vector))
     del pairs, indices, weights  # the columns are garbage once the vectors exist
-    if len(terms) != len(refs):
-        raise MalformedKnowledgeBase(
-            f"'entries' has {len(terms)} terms but {len(refs)} doc indices"
-        )
     if not _only(terms, {str}):
         raise MalformedKnowledgeBase("'entries' 'terms' holds a non-string")
-    if refs and max(refs) >= len(vectors):
-        n, index = next((n, i) for n, i in enumerate(refs) if i >= len(vectors))
+    _positions(term_refs, len(terms), "'entries' 'term_refs'", "terms")
+    _positions(run_docs, len(vectors), "'entries' 'run_docs'", "docs")
+    if len(run_docs) != len(run_lengths):
         raise MalformedKnowledgeBase(
-            f"entries[{n}]: doc index {index} is invalid ({len(vectors)} docs)"
+            f"'entries' has {len(run_docs)} run docs but {len(run_lengths)} run lengths"
         )
+    if not _only(run_lengths, {int}) or min(run_lengths, default=1) < 1:
+        raise MalformedKnowledgeBase(
+            "'entries' 'run_lengths' holds a non-integer or a length below 1"
+        )
+    if sum(run_lengths) != len(term_refs):
+        raise MalformedKnowledgeBase(
+            f"'entries' 'run_lengths' add up to {sum(run_lengths)} "
+            f"but there are {len(term_refs)} term references"
+        )
+    refs = list(chain.from_iterable(map(repeat, run_docs, run_lengths)))  # each entry's doc
     return model, list(
         map(
             KnowledgeEntry,
-            terms,
+            map(terms.__getitem__, term_refs),
             map(texts.__getitem__, refs),
             map(contexts.__getitem__, refs),
             map(vectors.__getitem__, refs),

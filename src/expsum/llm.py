@@ -78,7 +78,7 @@ class MockScript:
         ``source`` and the item."""
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
             raise ConfigError(f"{source} is not valid JSON: {e}") from None
         if not isinstance(data, list):
             raise ConfigError(f"{source} must be a JSON list")

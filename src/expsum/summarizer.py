@@ -146,7 +146,7 @@ def load_category_schemas(schema_dir: str | Path) -> list[CategorySchema]:
             raise ConfigError(f"missing schema file {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as e:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too many digits, too deep
             raise ConfigError(f"invalid schema file {path}: {e}") from e
         schemas[category] = CategorySchema.from_dict(data, category, f"schema file {path} ")
 
@@ -168,7 +168,7 @@ def load_refiner_constraints(path: str | Path) -> list[str]:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read refiner constraints {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too many digits, too deep
         raise ConfigError(f"invalid refiner constraints {path}: {e}") from e
     if not isinstance(data, list) or not all(isinstance(c, str) for c in data):
         raise ConfigError("refiner constraints must be a JSON list of strings")

@@ -57,6 +57,20 @@ V3_KB = json.dumps(
 )
 
 
+# A knowledge base in the retired format 4, which stored each model token
+# twice and each entry's term and doc index.
+V4_KB = json.dumps(
+    {
+        "format": 4,
+        "model": {"vocabulary": {"media": 0}, "doc_count": 1,
+                  "doc_frequency": {"media": 1}, "alpha": 0.01},
+        "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": "AQAAAA==",
+                 "indices": "AAAAAA==", "weights": "OPjCZKpghL8="},
+        "entries": {"terms": ["MediaKit"], "docs": "AAAAAA=="},
+    }
+)
+
+
 @pytest.fixture
 def fixture_paths(tmp_path):
     return write_fixture(tmp_path / "e2e")
@@ -236,16 +250,17 @@ class TestRetrieveCommand:
         kb_path.write_text(
             json.dumps(
                 {
-                    "format": 4,
+                    "format": 5,
                     "model": {
-                        "vocabulary": {},
+                        "tokens": [],
+                        "doc_frequency": [],
+                        "vocabulary": [],
                         "doc_count": 1,
-                        "doc_frequency": {},
                         "alpha": 0.01,
                     },
                     "docs": {"path_contexts": [], "texts": [], "sizes": "",
                              "indices": "", "weights": ""},
-                    "entries": {"terms": [], "docs": ""},
+                    "entries": {"terms": [], "term_refs": [], "run_docs": [], "run_lengths": []},
                 }
             ),
             encoding="utf-8",
@@ -303,10 +318,14 @@ class TestBadKnowledgeBase:
         [
             ("{}", "no format field"),
             (V1_KB, "rebuild it with `expsum kb-build`"),
-            (V2_KB, "format 2, expected format 4; rebuild it with `expsum kb-build`"),
-            (V3_KB, "format 3, expected format 4; rebuild it with `expsum kb-build`"),
+            (V2_KB, "format 2, expected format 5; rebuild it with `expsum kb-build`"),
+            (V3_KB, "format 3, expected format 5; rebuild it with `expsum kb-build`"),
+            (V4_KB, "format 4, expected format 5; rebuild it with `expsum kb-build`"),
+            ("[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+            ('{"format": ' + "9" * 5000 + "}", "not valid JSON: Exceeds the limit (4300 digits)"),
         ],
-        ids=["empty-object", "format-1", "format-2", "format-3"],
+        ids=["empty-object", "format-1", "format-2", "format-3", "format-4", "too-deep",
+             "huge-int"],
     )
     def test_one_error_line_and_exit_1(
         self, fixture_paths, capsys, command, content, expected
@@ -518,6 +537,46 @@ class TestMockScriptShape:
             fixture_paths, capsys, change=lambda c: c["llm"].pop("mock_script_path")
         )
         assert err.startswith("error: ConfigError: the mock backend needs a script to summarize")
+
+
+# JSON text that the parser cannot take: nested past the recursion limit, or
+# an integer of more digits than int() converts.
+UNPARSABLE_JSON = {"too-deep": "[" * 100_000, "huge-int": '{"x": ' + "9" * 5000 + "}"}
+
+
+class TestUnparsableJsonFiles:
+    """Every JSON file that ``summarize`` loads fails on unparsable JSON
+    with one typed error line naming the file, never a traceback (the
+    knowledge base: ``TestBadKnowledgeBase``)."""
+
+    @pytest.mark.parametrize("content", list(UNPARSABLE_JSON.values()), ids=list(UNPARSABLE_JSON))
+    @pytest.mark.parametrize(
+        "loader, expected",
+        [
+            ("config", "ConfigError: invalid config JSON {path}: "),
+            ("schema file", "ConfigError: invalid schema file {path}: "),
+            ("refiner constraints", "ConfigError: invalid refiner constraints {path}: "),
+            ("mock script", "ConfigError: mock script {path} is not valid JSON: "),
+        ],
+        ids=["config", "schema", "refiner", "mock-script"],
+    )
+    def test_one_error_line_naming_the_file(
+        self, fixture_paths, capsys, tmp_path, loader, expected, content
+    ):
+        change = None
+        if loader == "schema file":
+            schema_dir = tmp_path / "schemas"
+            shutil.copytree(packaged_data_path("schemas"), schema_dir)
+            path = schema_dir / "utility.json"
+            change = lambda c: c.update(schema_dir=str(schema_dir))
+        elif loader == "refiner constraints":
+            path = tmp_path / "constraints.json"
+            change = lambda c: c.update(refiner_constraints_path=str(path))
+        else:
+            path = fixture_paths["config" if loader == "config" else "script"]
+        path.write_text(content, encoding="utf-8")
+        err = summarize_fails(fixture_paths, capsys, change=change)
+        assert err.startswith("error: " + expected.format(path=path))
 
 
 class TestSummarizeCommand:

@@ -341,6 +341,9 @@ def packed(code, values):
 
 
 class TestFormat4:
+    """The saved file's layout, format 5 since format 4 was retired; the
+    class keeps its name so its test ids stay stable."""
+
     def build(self, docs):
         return build_knowledge_base(docs, MockLlmClient(MockScript(default="preserved")))
 
@@ -351,7 +354,7 @@ class TestFormat4:
         save_knowledge_base(path, model, entries)
         text = path.read_text(encoding="utf-8")
         payload = json.loads(text)
-        assert payload["format"] == KB_FORMAT == 4
+        assert payload["format"] == KB_FORMAT == 5
         distinct = {(d.path_context, d.text) for d in shared_context_docs}
         assert len(payload["docs"]["texts"]) == len(distinct) < len(shared_context_docs)
         for doc in shared_context_docs:
@@ -366,8 +369,66 @@ class TestFormat4:
         model, entries = table_style_kb
         payload = json.loads(kb_to_json(model, entries[::-1]))
         assert payload["docs"]["path_contexts"] == ["ohos.data.rdb", "ohos.data.relationalStore"]
-        assert payload["entries"]["terms"] == ["RDBStore", "RDBStore"]
-        assert u32s(payload["entries"]["docs"]) == [0, 1]
+        assert payload["entries"] == {
+            "terms": ["RDBStore"], "term_refs": [0, 0], "run_docs": [0, 1], "run_lengths": [1, 1],
+        }
+
+    def test_term_table_in_order_of_first_use(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        v = SparseVector({0: 0.5})
+        terms = ["Zeta", "Alpha", "Zeta", "Mid", "Alpha", "Alpha"]
+        entries = [KnowledgeEntry(t, "text", "ctx", v) for t in terms]
+        payload = json.loads(kb_to_json(model, entries))["entries"]
+        assert payload["terms"] == ["Zeta", "Alpha", "Mid"]
+        assert payload["term_refs"] == [0, 1, 0, 2, 1, 1]
+        assert payload["run_docs"] == [0] and payload["run_lengths"] == [6]
+
+    def test_runs_for_entries_in_any_order(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        a, b, c = (KnowledgeEntry("T", text, "ctx", SparseVector({0: 0.5})) for text in "abc")
+        entries = [a, a, b, a, c, c, c, b, a]
+        text = kb_to_json(model, entries)
+        payload = json.loads(text)["entries"]
+        assert payload["run_docs"] == [0, 1, 0, 2, 1, 0]
+        assert payload["run_lengths"] == [2, 1, 1, 3, 1, 1]
+        assert kb_from_json(text)[1] == entries
+
+    def test_one_string_per_term_after_load(self, shared_context_docs):
+        model, entries = self.build(shared_context_docs)
+        loaded = kb_from_json(kb_to_json(model, entries))[1]
+        assert loaded == entries
+        by_term = {}
+        for e in loaded:
+            assert by_term.setdefault(e.term, e.term) is e.term
+        assert len(by_term) < len(loaded)
+
+    def test_model_tokens_stored_once(self, three_doc_model):
+        payload = json.loads(kb_to_json(three_doc_model, []))["model"]
+        tokens = sorted(three_doc_model.doc_frequency)
+        assert payload == {
+            "tokens": tokens,
+            "doc_frequency": [three_doc_model.doc_frequency[t] for t in tokens],
+            "vocabulary": [three_doc_model.vocabulary[t] for t in tokens],
+            "doc_count": 3,
+            "alpha": 0.01,
+        }
+        partial = TfIdfModel({"media": 4}, 2, {"media": 1, "audio": 2, "zoom": 1})
+        payload = json.loads(kb_to_json(partial, []))["model"]
+        assert payload["tokens"] == ["audio", "media", "zoom"]
+        assert payload["vocabulary"] == [None, 4, None]
+        loaded = kb_from_json(kb_to_json(partial, []))[0]
+        assert loaded == partial
+        assert list(loaded.vocabulary) == ["media"]
+        assert list(loaded.doc_frequency) == ["audio", "media", "zoom"]
+
+    def test_vocabulary_token_without_frequency_raises_value_error(self):
+        model = TfIdfModel({"media": 0, "audio": 1}, 2, {"media": 1})
+        with pytest.raises(ValueError) as err:
+            kb_to_json(model, [])
+        assert str(err.value) == (
+            "cannot save the knowledge base: vocabulary token 'audio' has no document frequency"
+        )
+        assert type(err.value) is ValueError
 
     def test_vectors_are_ascending_indices_with_their_weights(self):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -393,7 +454,6 @@ class TestFormat4:
             "000000000000f03f" "00000000000000c0"
         )
         assert payload["docs"]["sizes"] == "AgAAAA=="
-        assert payload["entries"]["docs"] == "AAAAAA=="
 
     def test_big_endian_hosts_swap_bytes_both_ways(self, monkeypatch):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -460,7 +520,7 @@ class TestFormat4:
             KnowledgeEntry("V", "same text", "ctx.one", SparseVector({0: 0.5})),
         ]
         text = kb_to_json(model, entries)
-        assert u32s(json.loads(text)["entries"]["docs"]) == [0, 1, 2, 3, 0]
+        assert json.loads(text)["entries"]["run_docs"] == [0, 1, 2, 3, 0]
         assert kb_from_json(text)[1] == entries
 
     def test_save_load_round_trip_and_rebuild_are_byte_identical(
@@ -480,12 +540,23 @@ MODEL = {"vocabulary": {"media": 0}, "doc_count": 2, "doc_frequency": {"media": 
 
 def valid_payload():
     return {
-        "format": 4,
-        "model": json.loads(json.dumps(MODEL)),
+        "format": 5,
+        "model": {"tokens": ["media"], "doc_frequency": [1], "vocabulary": [0],
+                  "doc_count": 2, "alpha": 0.01},
         "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": packed("I", [1]),
                  "indices": packed("I", [0]), "weights": packed("d", [0.69])},
-        "entries": {"terms": ["MediaKit"], "docs": packed("I", [0])},
+        "entries": {"terms": ["MediaKit"], "term_refs": [0], "run_docs": [0], "run_lengths": [1]},
     }
+
+
+# The same KB in the retired format 4, which stored each entry's term and
+# doc index and each model token twice.
+FORMAT_4 = {
+    "format": 4,
+    "model": MODEL,
+    "docs": valid_payload()["docs"],
+    "entries": {"terms": ["MediaKit"], "docs": packed("I", [0])},
+}
 
 
 # The same KB in the retired format 3, with one object per doc and plain
@@ -530,22 +601,42 @@ class TestLoadErrors:
             ("{not json", "not valid JSON"),
             ("[]", "not a JSON object"),
             ("{}", "no format field"),
-            (broken(set_in(("format",), 1)), "format 1, expected format 4"),
-            (broken(set_in(("format",), 2)), "format 2, expected format 4"),
-            (json.dumps(FORMAT_3), "format 3, expected format 4; rebuild it with `expsum kb-build`"),
+            (broken(set_in(("format",), 1)), "format 1, expected format 5"),
+            (broken(set_in(("format",), 2)), "format 2, expected format 5"),
+            (json.dumps(FORMAT_3), "format 3, expected format 5; rebuild it with `expsum kb-build`"),
+            (json.dumps(FORMAT_4), "format 4, expected format 5; rebuild it with `expsum kb-build`"),
+            ("[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+            ('{"format": 5, "model": ' + "9" * 5000 + "}",
+             "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
             (broken(lambda p: p.pop("docs")), "'docs' is missing or not a dict"),
             (broken(set_in(("docs",), FORMAT_3["docs"])), "'docs' is missing or not a dict"),
             (broken(set_in(("model",), [])), "'model' is missing or not a dict"),
+            (broken(set_in(("model",), MODEL)), "'model' 'tokens' is missing or not a list"),
             (broken(lambda p: p["model"].pop("alpha")), "'model' lacks a key"),
-            (broken(set_in(("model", "vocabulary"), {"a": "x"})), "ill-typed"),
+            (broken(set_in(("model", "vocabulary", 0), "x")),
+             "'model' 'vocabulary' holds neither an integer nor null"),
+            (broken(set_in(("model", "vocabulary", 0), False)), "holds neither an integer nor null"),
             (broken(set_in(("model", "doc_count"), 1e400)), "ill-typed"),
             (broken(set_in(("model", "doc_count"), 0)), "'doc_count' 0 is below 1"),
-            (broken(set_in(("model", "doc_frequency", "media"), 0)), "a count below 1"),
+            (broken(set_in(("model", "doc_frequency", 0), 0)), "a count below 1"),
+            (broken(set_in(("model", "doc_frequency", 0), True)), "'doc_frequency' holds a non-integer"),
+            (broken(set_in(("model", "doc_frequency", 0), 1.0)), "'doc_frequency' holds a non-integer"),
             (broken(set_in(("model", "alpha"), -0.5)), "'alpha' -0.5 is negative"),
             (broken(set_in(("model", "alpha"), float("inf"))), "or not finite"),
             (broken(set_in(("model", "alpha"), float("nan"))), "or not finite"),
-            (broken(set_in(("model", "vocabulary", "battery"), 1)),
-             "'doc_frequency' lacks vocabulary token 'battery'"),
+            (broken(lambda p: p["model"]["vocabulary"].append(1)),
+             "'model' has 1 tokens, 1 frequencies and 2 vocabulary indices"),
+            (broken(lambda p: p["model"]["tokens"].append("zoom")),
+             "'model' has 2 tokens, 1 frequencies and 1 vocabulary indices"),
+            (broken(lambda p: p["model"]["doc_frequency"].append(1)),
+             "'model' has 1 tokens, 2 frequencies and 1 vocabulary indices"),
+            (broken(lambda p: p["model"].update(tokens=["zoom", "media"], doc_frequency=[1, 1],
+                                                vocabulary=[None, 0])),
+             "'model' 'tokens' are not in strictly ascending order"),
+            (broken(lambda p: p["model"].update(tokens=["media", "media"], doc_frequency=[1, 1],
+                                                vocabulary=[0, None])),
+             "'model' 'tokens' are not in strictly ascending order"),
+            (broken(set_in(("model", "tokens", 0), 7)), "'model' 'tokens' holds a non-string"),
             (broken(lambda p: p["docs"]["path_contexts"].append("ohos.x")),
              "'docs' has 2 path contexts, 1 texts and 1 sizes"),
             (broken(set_column("docs", "sizes", "I", [1, 0])),
@@ -561,7 +652,7 @@ class TestLoadErrors:
             (broken(set_in(("docs", "indices"), "AAAA*AAA")), "'indices' is not valid base64"),
             (broken(set_in(("docs", "sizes"), "AQAAAA")), "'sizes' is not valid base64"),
             (broken(set_in(("docs", "sizes"), "AQAAAé==")), "'sizes' is not valid base64"),
-            (broken(set_in(("entries", "docs"), "0")), "'entries' 'docs' is not valid base64"),
+            (broken(set_in(("entries", "run_docs"), "0")), "'entries' 'run_docs' is missing or not a list"),
             (broken(set_in(("docs", "indices"), "AAAA")), "'indices' holds 3 bytes, not whole 4-byte"),
             (broken(set_in(("docs", "weights"), packed("I", [1, 2, 3]))),
              "'weights' holds 12 bytes, not whole 8-byte items"),
@@ -575,24 +666,47 @@ class TestLoadErrors:
              "'indices' repeats an index in doc 0"),
             (broken(set_in(("entries",), [{"term": "MediaKit", "doc": 0}])), "'entries' is missing or not a dict"),
             (broken(lambda p: p["entries"].pop("terms")), "'entries' 'terms' is missing"),
-            (broken(set_in(("entries", "docs"), [0])), "'entries' 'docs' is missing or not a str"),
-            (broken(lambda p: p["entries"]["terms"].append("t")), "2 terms but 1 doc indices"),
+            (broken(set_in(("entries", "run_docs", 0), [0])), "'entries' 'run_docs' holds a non-integer"),
+            (broken(lambda p: p["entries"]["term_refs"].append(0)),
+             "'entries' 'run_lengths' add up to 1 but there are 2 term references"),
             (broken(set_in(("entries", "terms", 0), 7)), "'terms' holds a non-string"),
-            (broken(set_column("entries", "docs", "I", [1])),
-             "entries[0]: doc index 1 is invalid (1 docs)"),
-            (broken(set_column("entries", "docs", "I", [2**32 - 1])), "doc index 4294967295 is invalid"),
+            (broken(set_in(("entries", "run_docs", 0), 1)),
+             "'entries' 'run_docs' holds 1, not one of the 1 docs"),
+            (broken(set_in(("entries", "run_docs", 0), 2**32 - 1)), "holds 4294967295, not one of"),
+            (broken(set_in(("entries", "term_refs", 0), 1)),
+             "'entries' 'term_refs' holds 1, not one of the 1 terms"),
+            (broken(set_in(("entries", "term_refs", 0), -1)), "'term_refs' holds -1, not one of"),
+            (broken(set_in(("entries", "term_refs", 0), False)), "'term_refs' holds a non-integer"),
+            (broken(set_in(("entries", "term_refs"), "AAAAAA==")), "'term_refs' is missing or not a list"),
+            (broken(lambda p: p["entries"].pop("run_lengths")), "'run_lengths' is missing or not a list"),
+            (broken(lambda p: p["entries"]["run_docs"].append(0)), "2 run docs but 1 run lengths"),
+            (broken(set_in(("entries", "run_lengths", 0), 2)),
+             "'run_lengths' add up to 2 but there are 1 term references"),
+            (broken(lambda p: p["entries"].update(run_docs=[0, 0], run_lengths=[2, -1])),
+             "'run_lengths' holds a non-integer or a length below 1"),
+            (broken(set_in(("entries", "run_lengths", 0), 0)), "or a length below 1"),
+            (broken(set_in(("entries", "run_lengths", 0), True)), "holds a non-integer or a length"),
+            (broken(set_in(("entries", "run_lengths", 0), 1.0)), "holds a non-integer or a length"),
+            (broken(lambda p: p["entries"].update(term_refs=[], run_docs=[0], run_lengths=[])),
+             "1 run docs but 0 run lengths"),
         ],
         ids=[
-            "not-json", "array", "empty-object", "format-1", "format-2", "format-3",
-            "no-docs", "docs-list", "model-list", "no-alpha", "vocabulary-value",
-            "doc-count-huge", "doc-count-0", "frequency-0", "alpha-negative", "alpha-inf",
-            "alpha-nan", "vocabulary-without-frequency", "extra-context", "extra-size",
+            "not-json", "array", "empty-object", "format-1", "format-2", "format-3", "format-4",
+            "too-deep", "huge-int", "no-docs", "docs-list", "model-list", "model-format-4",
+            "no-alpha", "vocabulary-value", "vocabulary-bool", "doc-count-huge", "doc-count-0",
+            "frequency-0", "frequency-bool", "frequency-float", "alpha-negative", "alpha-inf",
+            "alpha-nan", "vocabulary-without-frequency", "token-without-frequency",
+            "frequency-without-token", "tokens-unsorted", "tokens-repeated", "token-not-string",
+            "extra-context", "extra-size",
             "context-not-string", "text-not-string", "no-texts", "no-indices",
             "weights-list", "indices-bool", "weights-null", "weights-bad-char",
             "indices-bad-char", "sizes-no-padding", "sizes-non-ascii", "refs-one-char",
             "indices-partial-item", "weights-partial-item", "sizes-too-big", "sizes-too-small",
             "no-weights", "repeated-index", "entries-list", "no-terms", "refs-list",
             "extra-term", "term-not-string", "ref-past-end", "ref-u32-max",
+            "term-ref-past-table", "term-ref-negative", "term-ref-bool", "term-refs-packed",
+            "no-run-lengths", "extra-run-doc", "run-lengths-too-big", "run-length-negative",
+            "run-length-0", "run-length-bool", "run-length-float", "missing-run-length",
         ],
     )
     def test_malformed_text_raises_typed_error(self, text, expected):
@@ -702,6 +816,7 @@ class TestFileProperties:
         assert kb_to_json(loaded_model, loaded) == text
         assert loaded_model == model
         assert loaded == entries
+        assert len({id(e.term) for e in loaded}) == len({e.term for e in loaded})
 
     @settings(max_examples=200, deadline=None)
     @given(knowledge_bases(), st.data())
