@@ -26,6 +26,7 @@ from .code_model import (
     model_function,
 )
 from .errors import EmptyCorpus, ExpSumError, one_line
+from .files import read_json, read_jsonl, read_text
 from .knowledge_base import (
     PackageDoc,
     build_knowledge_base,
@@ -43,36 +44,10 @@ def _log(message: str) -> None:
     print(one_line(message), file=sys.stderr)
 
 
-def _read_jsonl(path: Path):
-    """Yield ``(line number, object)`` for each non-blank line of a JSON-lines
-    file; a line that is not UTF-8 text or not a JSON object is a
-    ``ValueError`` naming the file and line."""
-    # surrogateescape reads on past a byte that is not UTF-8, as a lone
-    # surrogate, so the line holding it can be named.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as e:
-                byte, column = ord(line[e.start]) - 0xDC00, e.start + 1
-                raise ValueError(
-                    f"{path} line {line_no}: not UTF-8 text (byte 0x{byte:02x} at column {column})"
-                ) from None
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
-                raise ValueError(f"{path} line {line_no}: not valid JSON ({e})") from None
-            if not isinstance(record, dict):
-                raise ValueError(f"{path} line {line_no}: record is not an object")
-            yield line_no, record
-
-
 def _load_corpus_records(path: Path) -> list[dict]:
     records = []
     seen_ids = set()
-    for line_no, record in _read_jsonl(path):
+    for line_no, record in read_jsonl(path):
         record_id = record.get("id")
         if isinstance(record_id, bool) or not (
             isinstance(record_id, int)
@@ -87,29 +62,10 @@ def _load_corpus_records(path: Path) -> list[dict]:
     return records
 
 
-def _read_text(path: Path) -> str:
-    """The UTF-8 text of ``path``; other bytes are a ``ValueError`` naming
-    the file."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-
-
-def _read_json(path: Path, what: str):
-    """The JSON value in ``path``; text that is not JSON is a ``ValueError``
-    naming ``what`` and the file."""
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
-        raise ValueError(f"{what} {path} is not valid JSON ({e})") from None
-
-
 def _read_metadata(path: Path) -> MetadataSet:
     """The metadata set in the JSON file ``path``; any fault is a
     ``ValueError`` naming the file."""
-    data = _read_json(path, "metadata")
+    data = read_json(path, "metadata", ValueError)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: metadata is not a JSON object")
     try:
@@ -123,11 +79,11 @@ def _load_package_docs(corpus: Path) -> list[PackageDoc]:
     if corpus.is_dir():
         for file in sorted(corpus.iterdir()):
             if file.is_file() and file.suffix in (".txt", ".md"):
-                text = _read_text(file).strip()
+                text = read_text(file, "doc", ValueError).strip()
                 if text:
                     docs.append(PackageDoc(path_context=file.stem, text=text))
     elif corpus.is_file():
-        manifest = _read_json(corpus, "manifest")
+        manifest = read_json(corpus, "manifest", ValueError)
         if not isinstance(manifest, list):
             raise ValueError(f"manifest {corpus} is not a list")
         for n, item in enumerate(manifest):
@@ -179,7 +135,7 @@ def cmd_extract(args) -> int:
         else DmtConfig()
     )
     if args.record:
-        data = _read_json(Path(args.record), "record")
+        data = read_json(args.record, "record", ValueError)
         if not isinstance(data, dict):
             raise ValueError(f"{args.record}: record is not an object")
         if "function" not in data:
@@ -191,7 +147,7 @@ def cmd_extract(args) -> int:
     else:
         record = FunctionRecord(
             file_path=args.source,
-            source_text=_read_text(Path(args.source)),
+            source_text=read_text(args.source, "source", ValueError),
             language=Language.from_string(args.lang or "unknown"),
         )
     metadata = model_function(record, dmt_config)
@@ -245,7 +201,7 @@ def cmd_summarize(args) -> int:
 
 def _load_jsonl_field(path: Path, *keys: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    for _, record in _read_jsonl(path):
+    for _, record in read_jsonl(path):
         record_id = record.get("id")
         if record_id is None:
             continue

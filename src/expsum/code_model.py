@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Any, Optional
 
 from .errors import UnsupportedLanguage
+from .files import parse_json
 
 
 class Language(str, Enum):
@@ -266,7 +267,7 @@ def serialize_metadata(m: MetadataSet) -> str:
 
 
 def deserialize_metadata(s: str) -> MetadataSet:
-    d = json.loads(s)
+    d = parse_json(s, "metadata", ValueError)
     if not isinstance(d, dict):
         raise ValueError("metadata JSON must be an object")
     return metadata_from_dict(d)

@@ -8,7 +8,6 @@ back to the data files packaged with the library.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ from typing import Any, Mapping, Optional
 
 from .code_model import DEFAULT_DMT_KEYS, DmtConfig
 from .errors import ConfigError
+from .files import read_json
 from .llm import (
     ENV_API_BASE,
     ENV_API_KEY,
@@ -117,14 +117,9 @@ def load_pipeline_config(
     cli = cli or {}
     env = env if env is not None else os.environ
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too many digits, too deep
-        raise ConfigError(f"invalid config JSON {path}: {e}") from e
+    raw = read_json(path, "config", ConfigError)
     if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"config {path} must be a JSON object")
 
     base_dir = path.parent
 

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Collection, Optional
 
 from .errors import ClientFailure, EmptyCorpus, IoFailure, MalformedKnowledgeBase
+from .files import parse_json, read_text
 
 # Compact standard English stopword list used to pick semantic-extraction
 # candidates.
@@ -445,6 +446,7 @@ def _column(obj: dict, key: str, code: str, where: str) -> array:
         data = base64.b64decode(_section(obj, key, str, where), validate=True)
     except ValueError as e:  # binascii.Error, or a non-ASCII character
         raise MalformedKnowledgeBase(f"{where}{key!r} is not valid base64 ({e})") from None
+    del obj[key]  # frees the base64 text, which the caller's payload would keep
     width = _ITEMS[code][0]
     if len(data) % width:
         raise MalformedKnowledgeBase(
@@ -471,21 +473,27 @@ def _positions(values: list, bound: int, where: str, what: str) -> None:
         raise MalformedKnowledgeBase(f"{where} holds {bad}, not one of the {bound} {what}")
 
 
-def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
+def kb_from_json(
+    text: str, source: str = "knowledge base"
+) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     """Parse format-5 JSON (see :func:`kb_to_json`); the entries of one doc
     share its text and vector object, and the entries of one term share
     its string.
 
-    Raises :class:`MalformedKnowledgeBase` for text that is not a well-formed
-    format-5 knowledge base, files of an older format included, and for a
-    model whose values ``idf`` cannot use: ``doc_count`` or a frequency
-    below 1, or a negative or non-finite ``alpha``.
+    Raises :class:`MalformedKnowledgeBase`, naming ``source``, for text that
+    is not a well-formed format-5 knowledge base, files of an older format
+    included, and for a model whose values ``idf`` cannot use: ``doc_count``
+    or a frequency below 1, or a negative or non-finite ``alpha``.
     """
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
-        raise MalformedKnowledgeBase(f"not valid JSON: {e}") from None
+    payload = parse_json(text, source, MalformedKnowledgeBase)
     del text  # only the parsed payload is needed from here on
+    try:
+        return _kb_from_payload(payload)
+    except MalformedKnowledgeBase as e:
+        raise MalformedKnowledgeBase(f"{source}: {e}") from None
+
+
+def _kb_from_payload(payload) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     if not isinstance(payload, dict):
         raise MalformedKnowledgeBase("not a JSON object")
     fmt = payload.get("format")
@@ -509,7 +517,6 @@ def kb_from_json(text: str) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     term_refs = _section(raw_entries, "term_refs", list, "'entries' ")
     run_docs = _section(raw_entries, "run_docs", list, "'entries' ")
     run_lengths = _section(raw_entries, "run_lengths", list, "'entries' ")
-    del payload, raw_docs, raw_entries  # frees the base64 text of the columns
     if not len(tokens) == len(frequencies) == len(vocabulary):
         raise MalformedKnowledgeBase(
             f"'model' has {len(tokens)} tokens, {len(frequencies)} frequencies "
@@ -601,16 +608,6 @@ def save_knowledge_base(
     Path(path).write_text(kb_to_json(model, entries), encoding="utf-8")
 
 
-def _read_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise IoFailure(f"cannot read knowledge base {path}: {e}") from e
-
-
 def load_knowledge_base(path: str | Path) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    try:
-        # no local keeps the text, so kb_from_json can free it once parsed
-        return kb_from_json(_read_text(path))
-    except MalformedKnowledgeBase as e:
-        raise MalformedKnowledgeBase(f"knowledge base {path}: {e}") from None
+    # no local keeps the text, so kb_from_json can free it once parsed
+    return kb_from_json(read_text(path, "knowledge base", IoFailure), f"knowledge base {path}")

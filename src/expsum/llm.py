@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional, Protocol
 
 from .errors import ClientFailure, ConfigError, IoFailure
+from .files import parse_json, read_text
 
 ENV_API_KEY = "EXPSUM_API_KEY"
 ENV_API_BASE = "EXPSUM_API_BASE"
@@ -76,10 +77,7 @@ class MockScript:
 
         A script of any other shape is a :class:`ConfigError` naming
         ``source`` and the item."""
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as e:  # JSONDecodeError, too many digits, too deep
-            raise ConfigError(f"{source} is not valid JSON: {e}") from None
+        data = parse_json(text, source, ConfigError)
         if not isinstance(data, list):
             raise ConfigError(f"{source} must be a JSON list")
         rules = []
@@ -111,11 +109,7 @@ class MockScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "MockScript":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise IoFailure(f"cannot read mock script {path}: {e}") from e
-        return cls.from_json(text, source=f"mock script {path}")
+        return cls.from_json(read_text(path, "mock script", IoFailure), f"mock script {path}")
 
 
 class MockLlmClient:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .code_model import MetadataSet
 from .errors import EmptyDictionary, IoFailure
+from .files import read_text
 
 REASON_EMPTY = "empty"
 REASON_UNINFORMATIVE = "uninformative"
@@ -69,11 +70,7 @@ def load_dictionary(path: str | Path) -> UninformativeDictionary:
     ``#`` starts a comment; a ``# version: <v>`` header line is honored.
     Duplicate lines collapse to one entry.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise IoFailure(f"cannot read dictionary {path}: {e}") from e
-
+    text = read_text(path, "dictionary", IoFailure)
     version = "unversioned"
     entries: set[str] = set()
     for line in text.splitlines():

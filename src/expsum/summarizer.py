@@ -10,7 +10,6 @@ draft) or polishing the draft into the final summary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -24,6 +23,7 @@ from .errors import (
     MalformedDraft,
     MalformedRefinement,
 )
+from .files import read_json
 from .llm import LlmClient, LlmRequest, LlmResponse
 from .retrieval import RetrievalResult
 
@@ -142,12 +142,7 @@ def load_category_schemas(schema_dir: str | Path) -> list[CategorySchema]:
     schemas: dict[FunctionCategory, CategorySchema] = {}
     for category in CATEGORY_ORDER:
         path = Path(schema_dir) / f"{category.value}.json"
-        if not path.exists():
-            raise ConfigError(f"missing schema file {path}")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too many digits, too deep
-            raise ConfigError(f"invalid schema file {path}: {e}") from e
+        data = read_json(path, "schema file", ConfigError)
         schemas[category] = CategorySchema.from_dict(data, category, f"schema file {path} ")
 
     field_schema = schemas[FunctionCategory.FIELD]
@@ -164,16 +159,11 @@ def load_category_schemas(schema_dir: str | Path) -> list[CategorySchema]:
 
 
 def load_refiner_constraints(path: str | Path) -> list[str]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read refiner constraints {path}: {e}") from e
-    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, too many digits, too deep
-        raise ConfigError(f"invalid refiner constraints {path}: {e}") from e
+    data = read_json(path, "refiner constraints", ConfigError)
     if not isinstance(data, list) or not all(isinstance(c, str) for c in data):
-        raise ConfigError("refiner constraints must be a JSON list of strings")
+        raise ConfigError(f"refiner constraints {path} must be a JSON list of strings")
     if not data:
-        raise ConfigError("refiner constraints must not be empty")
+        raise ConfigError(f"refiner constraints {path} must not be empty")
     return data
 
 

@@ -144,7 +144,7 @@ class TestKbBuild:
         (docs / "b.txt").write_bytes(b"abc\xff\xfe")
         assert main(["kb-build", str(docs), "--out", str(tmp_path / "kb.json")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: ValueError: {docs / 'b.txt'}: not UTF-8 text ")
+        assert err.startswith(f"error: ValueError: doc {docs / 'b.txt'} is not UTF-8 text (")
         assert err.count("\n") == 1
 
     def test_multi_line_backend_error_is_one_error_line(self, fixture_paths, capsys, monkeypatch):
@@ -285,7 +285,7 @@ class TestRetrieveCommand:
 @pytest.mark.parametrize(
     "content, expected",
     [
-        (b'{"function_name": "\xff"}', "{path}: not UTF-8 text (invalid start byte at byte 19)"),
+        (b'{"function_name": "\xff"}', "metadata {path} is not UTF-8 text (invalid start byte at byte 19)"),
         (b'{"function_name": ', "metadata {path} is not valid JSON (Expecting value: line 1"),
         (b'["f"]', "{path}: metadata is not a JSON object"),
         (b'{"dmt": 3}', "{path}: metadata field 'dmt' must be an object of strings, not 3"),
@@ -321,8 +321,8 @@ class TestBadKnowledgeBase:
             (V2_KB, "format 2, expected format 5; rebuild it with `expsum kb-build`"),
             (V3_KB, "format 3, expected format 5; rebuild it with `expsum kb-build`"),
             (V4_KB, "format 4, expected format 5; rebuild it with `expsum kb-build`"),
-            ("[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
-            ('{"format": ' + "9" * 5000 + "}", "not valid JSON: Exceeds the limit (4300 digits)"),
+            ("[" * 100_000, "is not valid JSON (maximum recursion depth exceeded"),
+            ('{"format": ' + "9" * 5000 + "}", "is not valid JSON (Exceeds the limit (4300 digits)"),
         ],
         ids=["empty-object", "format-1", "format-2", "format-3", "format-4", "too-deep",
              "huge-int"],
@@ -473,7 +473,7 @@ def test_corpus_loader_raises_only_value_error_naming_path_and_line(data):
             records = _load_corpus_records(path)
         except ValueError as e:
             assert type(e) is ValueError
-            assert re.match(rf"{re.escape(str(path))} line [1-9][0-9]*: ", str(e)), str(e)
+            assert re.match(rf"{re.escape(str(path))} line [1-9][0-9]*(: | is not )", str(e)), str(e)
         else:
             assert all(isinstance(r, dict) for r in records)
 
@@ -553,10 +553,10 @@ class TestUnparsableJsonFiles:
     @pytest.mark.parametrize(
         "loader, expected",
         [
-            ("config", "ConfigError: invalid config JSON {path}: "),
-            ("schema file", "ConfigError: invalid schema file {path}: "),
-            ("refiner constraints", "ConfigError: invalid refiner constraints {path}: "),
-            ("mock script", "ConfigError: mock script {path} is not valid JSON: "),
+            ("config", "ConfigError: config {path} is not valid JSON ("),
+            ("schema file", "ConfigError: schema file {path} is not valid JSON ("),
+            ("refiner constraints", "ConfigError: refiner constraints {path} is not valid JSON ("),
+            ("mock script", "ConfigError: mock script {path} is not valid JSON ("),
         ],
         ids=["config", "schema", "refiner", "mock-script"],
     )
@@ -577,6 +577,93 @@ class TestUnparsableJsonFiles:
         path.write_text(content, encoding="utf-8")
         err = summarize_fails(fixture_paths, capsys, change=change)
         assert err.startswith("error: " + expected.format(path=path))
+
+
+# Each input file of a command and the error type of each of its faults: a
+# missing file, bytes that are not UTF-8, text that is not JSON, a JSON value
+# of the wrong top-level shape, a directory in the file's place. A missing
+# file that the config names fails its existence check (``ConfigError``); a
+# CLI input that cannot be read is the ``OSError`` itself. ``None``: the
+# fault does not apply (a dictionary is not JSON, a directory is a docs
+# corpus).
+INPUT_FILE_FAULTS = ("missing", "not-utf8", "not-json", "wrong-shape", "directory")
+INPUT_FILES = {
+    "config": ("[1]", ["ConfigError"] * 5),
+    "schema file": ("[1]", ["ConfigError"] * 5),
+    "refiner constraints": ('{"a": 1}', ["ConfigError"] * 5),
+    "mock script": ('{"match": "a"}',
+                    ["ConfigError", "IoFailure", "ConfigError", "ConfigError", "IoFailure"]),
+    "dictionary": (None, ["ConfigError", "IoFailure", None, None, "IoFailure"]),
+    "knowledge base": ("[]", ["ConfigError", "IoFailure", "MalformedKnowledgeBase",
+                              "MalformedKnowledgeBase", "IoFailure"]),
+    "metadata": ('["f"]', ["FileNotFoundError", "ValueError", "ValueError", "ValueError",
+                           "IsADirectoryError"]),
+    "manifest": ('{"a": 1}', ["exit 2", "ValueError", "ValueError", "ValueError", None]),
+}
+INPUT_FILE_CASES = [
+    pytest.param(loader, fault, error, id=f"{loader.replace(' ', '-')}-{fault}")
+    for loader, (_, errors) in INPUT_FILES.items()
+    for fault, error in zip(INPUT_FILE_FAULTS, errors)
+    if error is not None
+]
+
+
+class TestInputFileFaults:
+    """A fault in any input file a command reads is one typed error line
+    naming the file, never a traceback; exit 1, or 2 for a missing
+    ``kb-build`` corpus."""
+
+    @pytest.mark.parametrize("loader, fault, error", INPUT_FILE_CASES)
+    def test_one_error_line_naming_the_file(
+        self, fixture_paths, capsys, tmp_path, loader, fault, error
+    ):
+        build_kb(fixture_paths)
+        config = json.loads(fixture_paths["config"].read_text(encoding="utf-8"))
+        out = tmp_path / "out.jsonl"
+        argv = ["summarize", str(fixture_paths["corpus"]),
+                "--config", str(fixture_paths["config"]), "--out", str(out)]
+        if loader in ("config", "mock script", "knowledge base"):
+            path = fixture_paths[{"mock script": "script", "knowledge base": "kb"}.get(loader, loader)]
+        elif loader == "schema file":
+            shutil.copytree(packaged_data_path("schemas"), tmp_path / "schemas")
+            path = tmp_path / "schemas" / "utility.json"
+            config["schema_dir"] = str(path.parent)
+        elif loader in ("refiner constraints", "dictionary"):
+            key, name = {
+                "refiner constraints": ("refiner_constraints_path", "refiner_constraints.json"),
+                "dictionary": ("dictionary_path", "uninformative_dictionary.txt"),
+            }[loader]
+            path = tmp_path / name
+            shutil.copy(packaged_data_path(name), path)
+            config[key] = str(path)
+        elif loader == "metadata":
+            path = tmp_path / "meta.json"
+            path.write_text('{"function_name": "f"}', encoding="utf-8")
+            argv = ["check", "--metadata", str(path)]
+        else:
+            path = fixture_paths["docs"]
+            argv = ["kb-build", str(path), "--out", str(out)]
+        fixture_paths["config"].write_text(json.dumps(config), encoding="utf-8")
+        if fault in ("missing", "directory"):
+            path.unlink()
+            if fault == "directory":
+                path.mkdir()
+        else:
+            path.write_bytes(
+                {"not-utf8": b'["\xff"]', "not-json": b"[oops"}.get(fault)
+                or INPUT_FILES[loader][0].encode()
+            )
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        if error == "exit 2":
+            assert code == 2 and err == f"error: corpus {path} does not exist\n"
+        else:
+            assert code == 1
+            assert err.startswith(f"error: {error}: ")
+            assert str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSummarizeCommand:
@@ -710,7 +797,7 @@ class TestSummarizeCommand:
     @pytest.mark.parametrize(
         "line, expected",
         [
-            ("{not json", "line 4: not valid JSON (Expecting property name"),
+            ("{not json", "line 4 is not valid JSON (Expecting property name"),
             ('{"id": [1], "function": {}}', "line 4: record without a string or number id"),
             ('{"id": "battery-level"}', "line 4: duplicate id 'battery-level'"),
             ('{"id": true}', "line 4: record without a string or number id"),
@@ -721,9 +808,9 @@ class TestSummarizeCommand:
             ('{"function": {}}', "line 4: record without a string or number id"),
             ('{"id": NaN}', "line 4: record without a string or number id"),
             ('{"id": -Infinity}', "line 4: record without a string or number id"),
-            (b'{"id": "z\xff", "function": {}}', "line 4: not UTF-8 text (byte 0xff at column 10)"),
-            ("[" * 100_000, "line 4: not valid JSON (maximum recursion depth exceeded"),
-            ('{"id": ' + "9" * 5000 + "}", "line 4: not valid JSON (Exceeds the limit"),
+            (b'{"id": "z\xff", "function": {}}', "line 4 is not UTF-8 text (byte 0xff at column 10)"),
+            ("[" * 100_000, "line 4 is not valid JSON (maximum recursion depth exceeded"),
+            ('{"id": ' + "9" * 5000 + "}", "line 4 is not valid JSON (Exceeds the limit"),
         ],
         ids=["not-json", "list-id", "duplicate-id", "true-id", "false-id", "null-id",
              "empty-string-id", "object-id", "missing-id", "nan-id", "infinite-id",
@@ -924,7 +1011,7 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: ValueError: {generated} line 1: not UTF-8 text (byte 0xe9 at column 30)\n"
+            f"error: ValueError: {generated} line 1 is not UTF-8 text (byte 0xe9 at column 30)\n"
         )
         assert not (tmp_path / "report.json").exists()
 

@@ -1,10 +1,12 @@
-"""Golden digests of the knowledge-base file.
+"""Golden digests of the knowledge-base file and of retrieval over it.
 
 A seeded KB of 200 docs in shared path contexts is built, saved and loaded,
 and the loaded content is pinned by a sha256 recorded with the previous
 file format: a format change that loses or alters any loaded datum fails
-here. The bytes ``expsum kb-build`` writes for the e2e fixture are pinned
-too, as is an upper bound on the file's size per byte of documentation."""
+here. The results of 200 seeded queries over that KB, ties included, are
+pinned on the built and on the loaded KB. The bytes ``expsum kb-build``
+writes for the e2e fixture are pinned too, as is an upper bound on the
+file's size per byte of documentation."""
 
 import contextlib
 import functools
@@ -15,7 +17,11 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 from expsum.cli import main
+from expsum.code_model import metadata_from_dict
+from expsum.config import packaged_data_path
 from expsum.knowledge_base import (
     PackageDoc,
     build_knowledge_base,
@@ -23,6 +29,8 @@ from expsum.knowledge_base import (
     kb_to_json,
 )
 from expsum.llm import MockLlmClient, MockRule, MockScript
+from expsum.metadata_check import check_metadata, load_dictionary
+from expsum.retrieval import RetrievalConfig, query_from_metadata, retrieve
 
 from e2e_fixtures import write_fixture
 
@@ -35,6 +43,10 @@ _spec.loader.exec_module(bench_fixtures)
 # sha256 of the loaded content (see ``content_digest``) of the seeded KB,
 # recorded when the KB was saved in format 4.
 SEEDED_CONTENT_DIGEST = "d1367cef319a2edfa13d921cf863fa530542767e026f1c53e5f3de85fd54e66b"
+
+# sha256 of the results of the seeded queries (see ``retrieval_digest``)
+# over the seeded KB, recorded with KB format 5.
+SEEDED_RETRIEVAL_DIGEST = "0324df4770822316bc9c63fe2c965a88793f1c8bffa1d1cc03fa1e4ab429e256"
 
 # sha256 of the file ``expsum kb-build`` writes for the e2e fixture's docs.
 E2E_KB_BUILD_DIGEST = "10a5b680f74a2f8fb1d4f36c846a670ce98f162596ccdf3cfd7e6a067173602b"
@@ -81,6 +93,35 @@ def test_seeded_kb_loads_what_was_recorded():
     _, kb = seeded_kb()
     text = kb_to_json(*kb)
     assert content_digest(*kb_from_json(text)) == SEEDED_CONTENT_DIGEST
+
+
+@functools.cache
+def seeded_queries():
+    """200 queries from seeded pre-extracted function records aimed at the
+    seeded KB's path contexts, checked with the packaged dictionary."""
+    docs, _ = seeded_kb()
+    contexts = sorted({d.path_context for d in docs})
+    dictionary = load_dictionary(packaged_data_path("uninformative_dictionary.txt"))
+    records = bench_fixtures.make_records(random.Random(4211), 200, contexts, 0.0)
+    return [
+        query_from_metadata(
+            check_metadata(metadata_from_dict(r["function"]["pre_extracted"]), dictionary).retained
+        )
+        for r in records
+    ]
+
+
+def retrieval_digest(kb) -> str:
+    results = [retrieve(q, kb, RetrievalConfig()).to_dict() for q in seeded_queries()]
+    return hashlib.sha256(json.dumps(results, ensure_ascii=False).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("saved", [False, True], ids=["built", "saved-and-loaded"])
+def test_seeded_retrieval_is_what_was_recorded(saved):
+    _, kb = seeded_kb()
+    if saved:
+        kb = kb_from_json(kb_to_json(*kb))
+    assert retrieval_digest(kb) == SEEDED_RETRIEVAL_DIGEST
 
 
 def test_seeded_kb_size_bound():

@@ -605,9 +605,9 @@ class TestLoadErrors:
             (broken(set_in(("format",), 2)), "format 2, expected format 5"),
             (json.dumps(FORMAT_3), "format 3, expected format 5; rebuild it with `expsum kb-build`"),
             (json.dumps(FORMAT_4), "format 4, expected format 5; rebuild it with `expsum kb-build`"),
-            ("[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+            ("[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
             ('{"format": 5, "model": ' + "9" * 5000 + "}",
-             "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+             "not valid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
             (broken(lambda p: p.pop("docs")), "'docs' is missing or not a dict"),
             (broken(set_in(("docs",), FORMAT_3["docs"])), "'docs' is missing or not a dict"),
             (broken(set_in(("model",), [])), "'model' is missing or not a dict"),
