@@ -26,7 +26,7 @@ from .code_model import (
     model_function,
 )
 from .errors import EmptyCorpus, ExpSumError, one_line
-from .files import read_json, read_jsonl, read_text
+from .files import JsonObject, check, fault, read_json, read_jsonl, read_text
 from .knowledge_base import (
     PackageDoc,
     build_knowledge_base,
@@ -44,34 +44,45 @@ def _log(message: str) -> None:
     print(one_line(message), file=sys.stderr)
 
 
-def _load_corpus_records(path: Path) -> list[dict]:
-    records = []
-    seen_ids = set()
+def _records(path: Path):
+    """Yield each record of the JSON-lines file ``path``. Its ``id`` must be
+    a non-empty string or a finite number, unique in the file also as text,
+    since ``evaluate`` joins ids by their text (``1`` and ``"1"`` are one)."""
+    lines: dict = {}  # each id, and its text, -> the first line holding it
     for line_no, record in read_jsonl(path):
+        where = f"{path} line {line_no}"
         record_id = record.get("id")
-        if isinstance(record_id, bool) or not (
-            isinstance(record_id, int)
-            or (isinstance(record_id, float) and math.isfinite(record_id))
-            or (isinstance(record_id, str) and record_id)
+        if not (
+            type(record_id) is str and record_id
+            or type(record_id) is int
+            or type(record_id) is float and math.isfinite(record_id)
         ):
-            raise ValueError(f"{path} line {line_no}: record without a string or number id")
-        if record_id in seen_ids:
-            raise ValueError(f"{path} line {line_no}: duplicate id {record_id!r}")
-        seen_ids.add(record_id)
-        records.append(record)
-    return records
+            kind = "a non-empty string or a finite number"
+            raise fault(where, ("id",), kind, record_id, ValueError)
+        first = lines.get(record_id) or lines.get(str(record_id))
+        if first:
+            line, first_id = first
+            raise ValueError(f"{where}: duplicate id {record_id!r} (line {line} has {first_id!r})")
+        lines[record_id] = lines[str(record_id)] = (line_no, record_id)
+        yield record
+
+
+def _load_corpus_records(path: Path) -> list[dict]:
+    return list(_records(path))
 
 
 def _read_metadata(path: Path) -> MetadataSet:
     """The metadata set in the JSON file ``path``; any fault is a
     ``ValueError`` naming the file."""
-    data = read_json(path, "metadata", ValueError)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: metadata is not a JSON object")
-    try:
-        return metadata_from_dict(data)
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+    return metadata_from_dict(read_json(path, "metadata", ValueError), f"metadata {path}")
+
+
+def _read_record(path: Path) -> FunctionRecord:
+    """The function of the record in the JSON file ``path``; any fault is a
+    ``ValueError`` naming the file."""
+    where = f"record {path}"
+    record = check(read_json(path, "record", ValueError), "an object", where, (), ValueError)
+    return FunctionRecord.from_dict(record.get("function"), where)
 
 
 def _load_package_docs(corpus: Path) -> list[PackageDoc]:
@@ -83,21 +94,15 @@ def _load_package_docs(corpus: Path) -> list[PackageDoc]:
                 if text:
                     docs.append(PackageDoc(path_context=file.stem, text=text))
     elif corpus.is_file():
-        manifest = read_json(corpus, "manifest", ValueError)
-        if not isinstance(manifest, list):
-            raise ValueError(f"manifest {corpus} is not a list")
+        where = f"manifest {corpus}"
+        manifest = check(read_json(corpus, "manifest", ValueError), "a list", where, (), ValueError)
         for n, item in enumerate(manifest):
-            where = f"manifest {corpus} item {n}"
-            if not (
-                isinstance(item, dict)
-                and isinstance(item.get("path_context"), str)
-                and isinstance(item.get("text"), str)
-            ):
-                raise ValueError(f"{where}: not an object with string 'path_context' and 'text'")
+            item = JsonObject(item, where, ValueError, (n,))
+            path_context, text = item.get("path_context", "a string"), item.get("text", "a string")
             try:
-                docs.append(PackageDoc(path_context=item["path_context"], text=item["text"]))
+                docs.append(PackageDoc(path_context, text))
             except ValueError as e:
-                raise ValueError(f"{where}: {e}") from None
+                raise ValueError(f"{where}: item {n}: {e}") from None
     return docs
 
 
@@ -135,15 +140,7 @@ def cmd_extract(args) -> int:
         else DmtConfig()
     )
     if args.record:
-        data = read_json(args.record, "record", ValueError)
-        if not isinstance(data, dict):
-            raise ValueError(f"{args.record}: record is not an object")
-        if "function" not in data:
-            raise ValueError(f"{args.record}: record has no 'function'")
-        try:
-            record = FunctionRecord.from_dict(data["function"])
-        except ValueError as e:
-            raise ValueError(f"{args.record}: {e}") from None
+        record = _read_record(args.record)
     else:
         record = FunctionRecord(
             file_path=args.source,
@@ -200,15 +197,13 @@ def cmd_summarize(args) -> int:
 
 
 def _load_jsonl_field(path: Path, *keys: str) -> dict[str, str]:
+    """The text of the first of ``keys`` a record holds, not null, by the
+    text of its id; a record holding none of them is skipped."""
     values: dict[str, str] = {}
-    for _, record in read_jsonl(path):
-        record_id = record.get("id")
-        if record_id is None:
-            continue
-        for key in keys:
-            if key in record and record[key] is not None:
-                values[str(record_id)] = str(record[key])
-                break
+    for record in _records(path):
+        value = next((record[key] for key in keys if record.get(key) is not None), None)
+        if value is not None:
+            values[str(record["id"])] = str(value)
     return values
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Any, Optional
 
 from .errors import UnsupportedLanguage
-from .files import parse_json
+from .files import JsonObject, parse_json
 
 
 class Language(str, Enum):
@@ -78,14 +78,6 @@ class ParameterField:
             "type_annotation": self.type_annotation,
             "default_value": self.default_value,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ParameterField":
-        return cls(
-            name=d.get("name", ""),
-            type_annotation=d.get("type_annotation"),
-            default_value=d.get("default_value"),
-        )
 
 
 #: Canonical field order for serialization and prompt rendering.
@@ -165,21 +157,19 @@ class FunctionRecord:
             )
 
     @classmethod
-    def from_dict(cls, fn: Any) -> "FunctionRecord":
+    def from_dict(cls, fn: Any, where: str = "") -> "FunctionRecord":
         """Parse a corpus record's ``function`` object; a value of the wrong
-        shape is a ``ValueError`` (see :func:`metadata_from_dict`)."""
-        if not isinstance(fn, dict):
-            raise ValueError(f"record 'function' must be an object, not {type(fn).__name__}")
-        pre = fn.get("pre_extracted")
-        if pre is not None and not isinstance(pre, dict):
-            raise ValueError(
-                f"record 'function.pre_extracted' must be an object, not {type(pre).__name__}"
-            )
+        shape is a ``ValueError`` naming ``where`` and the key (see
+        :func:`metadata_from_dict`)."""
+        fn = JsonObject(fn, where, ValueError, ("function",))
+        pre = fn.get("pre_extracted", "an object or null")
         return cls(
-            file_path=_string(fn, "file_path", "", "function.file_path"),
-            source_text=_string(fn, "source_text", None, "function.source_text"),
-            language=Language.from_string(_string(fn, "language", "unknown", "function.language")),
-            pre_extracted=metadata_from_dict(pre) if pre is not None else None,
+            file_path=fn.get("file_path", "a string", ""),
+            source_text=fn.get("source_text", "a string or null"),
+            language=Language.from_string(fn.get("language", "a string", "unknown")),
+            pre_extracted=(
+                None if pre is None else metadata_from_dict(pre, where, (*fn.path, "pre_extracted"))
+            ),
         )
 
 
@@ -200,63 +190,41 @@ def metadata_to_dict(m: MetadataSet) -> dict[str, Any]:
     return out
 
 
-def _require(ok: bool, name: str, expected: str, value: Any) -> None:
-    if not ok:
-        raise ValueError(f"metadata field {name!r} must be {expected}, not {value!r:.60}")
-
-
-def _string(
-    d: dict[str, Any], key: str, default: Optional[str], name: Optional[str] = None
-) -> Optional[str]:
-    """``d[key]`` if it is a string; ``null`` only where the default is."""
-    value = d.get(key, default)
-    ok = isinstance(value, str) or (value is None and default is None)
-    _require(ok, name or key, "a string", value)
-    return value
-
-
-def metadata_from_dict(d: dict[str, Any]) -> MetadataSet:
+def metadata_from_dict(d: Any, where: str = "", path: tuple = ()) -> MetadataSet:
     """Inverse of :func:`metadata_to_dict`.
 
-    Raises ``ValueError`` naming the field when a value has the wrong shape:
-    a text field that is not a string, ``parameters`` that is not a list of
-    objects with string subfields, ``dependency`` that is not a list of
-    strings, or ``dmt`` that is not an object of strings. ``null`` marks an
-    absent field.
+    Raises ``ValueError`` naming ``where`` and the field, at ``path``, when
+    a value has the wrong shape: a text field that is not a string,
+    ``parameters`` that is not a list of objects with string subfields,
+    ``dependency`` that is not a list of strings, or ``dmt`` that is not an
+    object of strings. ``null`` marks an absent field.
     """
-    params = d.get("parameters")
+    d = JsonObject(d, where, ValueError, path)
+    params = d.get("parameters", "a list or null")
     if params is not None:
-        _require(
-            isinstance(params, list) and all(isinstance(p, dict) for p in params),
-            "parameters", "a list of objects", params,
-        )
-        for i, p in enumerate(params):
-            _string(p, "name", "", f"parameters[{i}].name")
-            _string(p, "type_annotation", None, f"parameters[{i}].type_annotation")
-            _string(p, "default_value", None, f"parameters[{i}].default_value")
-        params = [ParameterField.from_dict(p) for p in params]
-    dependency = d.get("dependency")
-    _require(
-        dependency is None
-        or isinstance(dependency, list) and all(isinstance(x, str) for x in dependency),
-        "dependency", "a list of strings", dependency,
-    )
-    dmt = d.get("dmt", {})
-    _require(
-        isinstance(dmt, dict) and all(isinstance(v, str) for v in dmt.values()),
-        "dmt", "an object of strings", dmt,
-    )
+        params = [
+            ParameterField(
+                name=p.get("name", "a string", ""),
+                type_annotation=p.get("type_annotation", "a string or null"),
+                default_value=p.get("default_value", "a string or null"),
+            )
+            for p in (
+                JsonObject(p, where, ValueError, (*path, "parameters", i))
+                for i, p in enumerate(params)
+            )
+        ]
+    dependency = d.get("dependency", "a list or null", items="a string")
     return MetadataSet(
-        function_name=_string(d, "function_name", ""),
+        function_name=d.get("function_name", "a string", ""),
         parameters=params,
-        return_type=_string(d, "return_type", None),
-        file_path=_string(d, "file_path", ""),
-        package_module=_string(d, "package_module", None),
+        return_type=d.get("return_type", "a string or null"),
+        file_path=d.get("file_path", "a string", ""),
+        package_module=d.get("package_module", "a string or null"),
         dependency=list(dependency) if dependency is not None else None,
-        control_flow_skeleton=_string(d, "control_flow_skeleton", None),
-        io_behavior=_string(d, "io_behavior", None),
-        variable_modification=_string(d, "variable_modification", None),
-        dmt=dict(dmt),
+        control_flow_skeleton=d.get("control_flow_skeleton", "a string or null"),
+        io_behavior=d.get("io_behavior", "a string or null"),
+        variable_modification=d.get("variable_modification", "a string or null"),
+        dmt=dict(d.get("dmt", "an object", {}, items="a string")),
     )
 
 
@@ -267,10 +235,7 @@ def serialize_metadata(m: MetadataSet) -> str:
 
 
 def deserialize_metadata(s: str) -> MetadataSet:
-    d = parse_json(s, "metadata", ValueError)
-    if not isinstance(d, dict):
-        raise ValueError("metadata JSON must be an object")
-    return metadata_from_dict(d)
+    return metadata_from_dict(parse_json(s, "metadata", ValueError), "metadata")
 
 
 def extract_control_flow_skeleton(source_text: str, language: Language) -> str:

@@ -1,13 +1,15 @@
-"""How an input file is read, decoded and reported.
+"""How an input file is read, decoded, checked and reported.
 
 Every input file is UTF-8 text, and JSON where its format says so. A fault
 is one exception, of the type the caller passes, whose message names the
-file; callers check only their format's shape.
+file. A JSON value of the wrong kind is reported in one form,
+``<what> <path>: <key> must be <kind> (got <value>)``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from .errors import ExpSumError
@@ -61,6 +63,88 @@ def read_jsonl(path: str | Path):
                     f"{where} is not UTF-8 text (byte 0x{byte:02x} at column {column})"
                 ) from None
             record = parse_json(line, where, ValueError)
-            if not isinstance(record, dict):
-                raise ValueError(f"{where}: record is not an object")
-            yield line_no, record
+            yield line_no, check(record, "an object", where, (), ValueError)
+
+
+#: The JSON types a value of each kind may have; ``bool`` is no number.
+KINDS = {
+    "a string": {str},
+    "a string or null": {str, type(None)},
+    "an integer": {int},
+    "an integer or null": {int, type(None)},
+    "a finite number": {int, float},
+    "a boolean": {bool},
+    "an object": {dict},
+    "an object or null": {dict, type(None)},
+    "a list": {list},
+    "a list or null": {list, type(None)},
+}
+
+#: The kinds a value is of by its type alone: not a finite number.
+_PLAIN_KINDS = {**KINDS, "a finite number": set()}
+
+
+def fault(where: str, path: tuple, kind: str, value, error: type[Exception]) -> Exception:
+    """The ``error`` saying that the value at ``path`` in ``where`` must be
+    ``kind`` but is ``value``. ``path`` holds the object keys, shown quoted,
+    and list positions, shown as ``item N``, that lead to the value."""
+    key = " ".join(f"item {p}" if type(p) is int else repr(p) for p in path)
+    head = f"{where}: {key}" if where and key else where or key
+    return error(f"{head} must be {kind} (got {value!r:.40})")
+
+
+def check(
+    value, kind: str, where: str, path: tuple, error: type[Exception], items=None, least=None
+):
+    """``value``, if it is of ``kind`` (a finite number is neither infinite,
+    NaN nor an integer past the float range) and, given an ``items`` kind,
+    so is each item of the list or value of the object; given ``least``, the
+    value, or else each item, must be at least ``least``. Otherwise the
+    :func:`fault`, naming the first item at fault."""
+    if type(value) not in KINDS[kind] or (
+        kind == "a finite number" and not abs(value) <= sys.float_info.max
+    ):
+        raise fault(where, path, kind, value, error)
+    if items is None:
+        if least is not None and value < least:
+            raise fault(where, path, f"at least {least}", value, error)
+    elif value is not None:
+        values = value.values() if type(value) is dict else value
+        # one pass over the types, as a KB column can be long
+        if not set(map(type, values)) <= KINDS[items]:
+            key, item = _first(value, lambda v: type(v) not in KINDS[items])
+            raise fault(where, (*path, key), items, item, error)
+        if least is not None and min(values, default=least) < least:
+            key, item = _first(value, lambda v: v < least)
+            raise fault(where, (*path, key), f"at least {least}", item, error)
+    return value
+
+
+def _first(value, at_fault) -> tuple:
+    """The key or position, and the item, of the first item of the list or
+    object ``value`` that is ``at_fault``."""
+    pairs = value.items() if type(value) is dict else enumerate(value)
+    return next((key, item) for key, item in pairs if at_fault(item))
+
+
+class JsonObject:
+    """A JSON object at ``path`` in ``where`` whose values are checked, with
+    :func:`check`, as they are read."""
+
+    __slots__ = ("obj", "where", "error", "path")
+
+    def __init__(self, obj, where: str, error: type[Exception], path: tuple = ()):
+        if type(obj) is not dict:
+            raise fault(where, path, "an object", obj, error)
+        self.obj, self.where, self.error, self.path = obj, where, error, path
+
+    def get(self, key: str, kind: str, default=None, items=None, least=None):
+        """The value of ``key``, or ``default`` when it is absent."""
+        value = self.obj.get(key, default)
+        if items is None and least is None and type(value) in _PLAIN_KINDS[kind]:
+            return value  # the common case, which needs no path
+        return check(value, kind, self.where, (*self.path, key), self.error, items, least)
+
+    def object(self, key: str, default=None) -> "JsonObject":
+        """The object at ``key``, or ``default`` when it is absent."""
+        return JsonObject(self.obj.get(key, default), self.where, self.error, (*self.path, key))

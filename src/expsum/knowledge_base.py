@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Collection, Optional
 
 from .errors import ClientFailure, EmptyCorpus, IoFailure, MalformedKnowledgeBase
-from .files import parse_json, read_text
+from .files import JsonObject, check, parse_json, read_text
 
 # Compact standard English stopword list used to pick semantic-extraction
 # candidates.
@@ -433,24 +433,17 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
     return text + "\n"
 
 
-def _section(obj: dict, key: str, kind: type, where: str):
-    value = obj.get(key)
-    if not isinstance(value, kind):
-        raise MalformedKnowledgeBase(f"{where}{key!r} is missing or not a {kind.__name__}")
-    return value
-
-
-def _column(obj: dict, key: str, code: str, where: str) -> array:
-    """Decode the base64 column ``obj[key]`` of little-endian ``code`` items."""
+def _column(docs: JsonObject, key: str, code: str) -> array:
+    """Decode the base64 column ``docs[key]`` of little-endian ``code`` items."""
     try:
-        data = base64.b64decode(_section(obj, key, str, where), validate=True)
+        data = base64.b64decode(docs.get(key, "a string"), validate=True)
     except ValueError as e:  # binascii.Error, or a non-ASCII character
-        raise MalformedKnowledgeBase(f"{where}{key!r} is not valid base64 ({e})") from None
-    del obj[key]  # frees the base64 text, which the caller's payload would keep
+        raise MalformedKnowledgeBase(f"'docs' {key!r} is not valid base64 ({e})") from None
+    del docs.obj[key]  # frees the base64 text, which the caller's payload would keep
     width = _ITEMS[code][0]
     if len(data) % width:
         raise MalformedKnowledgeBase(
-            f"{where}{key!r} holds {len(data)} bytes, not whole {width}-byte items"
+            f"'docs' {key!r} holds {len(data)} bytes, not whole {width}-byte items"
         )
     column = array(code, data)
     if sys.byteorder == "big":
@@ -458,16 +451,8 @@ def _column(obj: dict, key: str, code: str, where: str) -> array:
     return column
 
 
-def _only(values: list, kinds: set) -> bool:
-    """Whether every item of ``values`` is exactly of one of ``kinds``
-    (``bool`` is not an ``int`` here)."""
-    return set(map(type, values)) <= kinds
-
-
 def _positions(values: list, bound: int, where: str, what: str) -> None:
-    """Check that ``values`` are integers in ``range(bound)``."""
-    if not _only(values, {int}):
-        raise MalformedKnowledgeBase(f"{where} holds a non-integer")
+    """Check that the integers ``values`` are in ``range(bound)``."""
     if values and not 0 <= min(values) <= max(values) < bound:
         bad = next(v for v in values if not 0 <= v < bound)
         raise MalformedKnowledgeBase(f"{where} holds {bad}, not one of the {bound} {what}")
@@ -487,76 +472,52 @@ def kb_from_json(
     """
     payload = parse_json(text, source, MalformedKnowledgeBase)
     del text  # only the parsed payload is needed from here on
+    check(payload, "an object", source, (), MalformedKnowledgeBase)
     try:
-        return _kb_from_payload(payload)
+        return _kb_from_payload(JsonObject(payload, "", MalformedKnowledgeBase))
     except MalformedKnowledgeBase as e:
         raise MalformedKnowledgeBase(f"{source}: {e}") from None
 
 
-def _kb_from_payload(payload) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    if not isinstance(payload, dict):
-        raise MalformedKnowledgeBase("not a JSON object")
-    fmt = payload.get("format")
+def _kb_from_payload(payload: JsonObject) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
+    fmt = payload.obj.get("format")
     if fmt != KB_FORMAT:
         found = "no format field" if fmt is None else f"format {fmt!r}"
         raise MalformedKnowledgeBase(
             f"{found}, expected format {KB_FORMAT}; rebuild it with `expsum kb-build`"
         )
-    m = _section(payload, "model", dict, "")
-    raw_docs = _section(payload, "docs", dict, "")
-    raw_entries = _section(payload, "entries", dict, "")
-    tokens = _section(m, "tokens", list, "'model' ")
-    frequencies = _section(m, "doc_frequency", list, "'model' ")
-    vocabulary = _section(m, "vocabulary", list, "'model' ")
-    contexts = _section(raw_docs, "path_contexts", list, "'docs' ")
-    texts = _section(raw_docs, "texts", list, "'docs' ")
-    sizes = _column(raw_docs, "sizes", "I", "'docs' ")
-    indices = _column(raw_docs, "indices", "I", "'docs' ")
-    weights = _column(raw_docs, "weights", "d", "'docs' ")
-    terms = _section(raw_entries, "terms", list, "'entries' ")
-    term_refs = _section(raw_entries, "term_refs", list, "'entries' ")
-    run_docs = _section(raw_entries, "run_docs", list, "'entries' ")
-    run_lengths = _section(raw_entries, "run_lengths", list, "'entries' ")
+    m, raw_docs, raw_entries = map(payload.object, ("model", "docs", "entries"))
+    tokens = m.get("tokens", "a list", items="a string")
+    frequencies = m.get("doc_frequency", "a list", items="an integer", least=1)
+    vocabulary = m.get("vocabulary", "a list", items="an integer or null")
+    contexts = raw_docs.get("path_contexts", "a list", items="a string")
+    texts = raw_docs.get("texts", "a list", items="a string")
+    sizes = _column(raw_docs, "sizes", "I")
+    indices = _column(raw_docs, "indices", "I")
+    weights = _column(raw_docs, "weights", "d")
+    terms = raw_entries.get("terms", "a list", items="a string")
+    term_refs = raw_entries.get("term_refs", "a list", items="an integer")
+    run_docs = raw_entries.get("run_docs", "a list", items="an integer")
+    run_lengths = raw_entries.get("run_lengths", "a list", items="an integer", least=1)
     if not len(tokens) == len(frequencies) == len(vocabulary):
         raise MalformedKnowledgeBase(
             f"'model' has {len(tokens)} tokens, {len(frequencies)} frequencies "
             f"and {len(vocabulary)} vocabulary indices"
         )
-    if not _only(tokens, {str}):
-        raise MalformedKnowledgeBase("'model' 'tokens' holds a non-string")
     if any(a >= b for a, b in zip(tokens, islice(tokens, 1, None))):
         raise MalformedKnowledgeBase("'model' 'tokens' are not in strictly ascending order")
-    if not _only(frequencies, {int}):
-        raise MalformedKnowledgeBase("'model' 'doc_frequency' holds a non-integer")
-    if not _only(vocabulary, {int, type(None)}):
-        raise MalformedKnowledgeBase("'model' 'vocabulary' holds neither an integer nor null")
-    try:
-        model = TfIdfModel(
-            vocabulary={t: i for t, i in zip(tokens, vocabulary) if i is not None},
-            doc_count=int(m["doc_count"]),
-            doc_frequency=dict(zip(tokens, frequencies)),
-            alpha=float(m["alpha"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise MalformedKnowledgeBase(
-            f"'model' lacks a key or has an ill-typed value ({type(e).__name__}: {e})"
-        ) from None
     # idf() divides by doc_frequency + alpha and takes the log of doc_count
-    if model.doc_count < 1:
-        raise MalformedKnowledgeBase(f"'model' 'doc_count' {model.doc_count} is below 1")
-    if min(frequencies, default=1) < 1:
-        raise MalformedKnowledgeBase("'model' 'doc_frequency' holds a count below 1")
-    if not 0.0 <= model.alpha < math.inf:
-        raise MalformedKnowledgeBase(f"'model' 'alpha' {model.alpha} is negative or not finite")
+    model = TfIdfModel(
+        vocabulary={t: i for t, i in zip(tokens, vocabulary) if i is not None},
+        doc_count=m.get("doc_count", "an integer", least=1),
+        doc_frequency=dict(zip(tokens, frequencies)),
+        alpha=float(m.get("alpha", "a finite number", least=0)),
+    )
     if not len(contexts) == len(texts) == len(sizes):
         raise MalformedKnowledgeBase(
             f"'docs' has {len(contexts)} path contexts, {len(texts)} texts "
             f"and {len(sizes)} sizes"
         )
-    if not _only(contexts, {str}):
-        raise MalformedKnowledgeBase("'docs' 'path_contexts' holds a non-string")
-    if not _only(texts, {str}):
-        raise MalformedKnowledgeBase("'docs' 'texts' holds a non-string")
     if sum(sizes) != len(indices):
         raise MalformedKnowledgeBase(
             f"'docs' 'sizes' add up to {sum(sizes)} but there are {len(indices)} indices"
@@ -573,17 +534,11 @@ def _kb_from_payload(payload) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
             raise MalformedKnowledgeBase(f"'docs' 'indices' repeats an index in doc {n}")
         vectors.append(SparseVector(vector))
     del pairs, indices, weights  # the columns are garbage once the vectors exist
-    if not _only(terms, {str}):
-        raise MalformedKnowledgeBase("'entries' 'terms' holds a non-string")
     _positions(term_refs, len(terms), "'entries' 'term_refs'", "terms")
     _positions(run_docs, len(vectors), "'entries' 'run_docs'", "docs")
     if len(run_docs) != len(run_lengths):
         raise MalformedKnowledgeBase(
             f"'entries' has {len(run_docs)} run docs but {len(run_lengths)} run lengths"
-        )
-    if not _only(run_lengths, {int}) or min(run_lengths, default=1) < 1:
-        raise MalformedKnowledgeBase(
-            "'entries' 'run_lengths' holds a non-integer or a length below 1"
         )
     if sum(run_lengths) != len(term_refs):
         raise MalformedKnowledgeBase(

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Protocol
 
 from .errors import ClientFailure, ConfigError, IoFailure
-from .files import parse_json, read_text
+from .files import JsonObject, check, parse_json, read_text
 
 ENV_API_KEY = "EXPSUM_API_KEY"
 ENV_API_BASE = "EXPSUM_API_BASE"
@@ -73,37 +73,30 @@ class MockScript:
     @classmethod
     def from_json(cls, text: str, source: str = "mock script") -> "MockScript":
         """Parse a JSON list of ``{"match", "response"[, "regex"]}`` rules
-        and at most one ``{"default"}`` item, all strings.
+        (strings, and a boolean) and at most one ``{"default"}`` string item.
 
         A script of any other shape is a :class:`ConfigError` naming
         ``source`` and the item."""
-        data = parse_json(text, source, ConfigError)
-        if not isinstance(data, list):
-            raise ConfigError(f"{source} must be a JSON list")
+        data = check(parse_json(text, source, ConfigError), "a list", source, (), ConfigError)
         rules = []
         default = None
         for n, item in enumerate(data):
-            where = f"{source} item {n}"
-            if not isinstance(item, dict):
-                raise ConfigError(f"{where} is not an object")
-            if "default" in item and "match" not in item:
-                default = item["default"]
-                if not isinstance(default, str):
-                    raise ConfigError(f"{where}: 'default' is not a string")
+            item = JsonObject(item, source, ConfigError, (n,))
+            if "default" in item.obj and "match" not in item.obj:
+                default = item.get("default", "a string")
                 continue
-            for key in ("match", "response"):
-                if not isinstance(item.get(key), str):
-                    raise ConfigError(f"{where}: {key!r} is missing or not a string")
             rule = MockRule(
-                matcher=item["match"],
-                response=item["response"],
-                regex=bool(item.get("regex", False)),
+                matcher=item.get("match", "a string"),
+                response=item.get("response", "a string"),
+                regex=item.get("regex", "a boolean", False),
             )
             if rule.regex:
                 try:
                     re.compile(rule.matcher)
                 except re.error as e:
-                    raise ConfigError(f"{where}: 'match' is not a valid pattern ({e})") from None
+                    raise ConfigError(
+                        f"{source}: item {n} 'match' is not a valid pattern ({e})"
+                    ) from None
             rules.append(rule)
         return cls(rules=tuple(rules), default=default)
 

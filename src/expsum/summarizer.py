@@ -16,14 +16,13 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .code_model import MetadataSet, serialize_metadata
-from .config import get_checked
 from .errors import (
     AllCategoriesExcluded,
     ConfigError,
     MalformedDraft,
     MalformedRefinement,
 )
-from .files import read_json
+from .files import JsonObject, check, fault, read_json
 from .llm import LlmClient, LlmRequest, LlmResponse
 from .retrieval import RetrievalResult
 
@@ -69,28 +68,19 @@ class CategorySchema:
     @classmethod
     def from_dict(cls, d: Any, category: FunctionCategory, where: str) -> "CategorySchema":
         """The schema of ``category`` from its JSON object; a value of the
-        wrong shape is a :class:`ConfigError` naming ``where`` and the key."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where}must be a JSON object (got {d!r:.40})")
-        if d.get("category") != category.value:
-            raise ConfigError(
-                f"{where}'category' must be {category.value!r} (got {d.get('category')!r:.40})"
-            )
-
-        def get(key: str, kind: str, default=None):  # null counts as unset
-            return default if d.get(key) is None else get_checked(d, key, kind, default, where)
-
-        definition = get("definition", "a string")
-        if definition is None:
-            raise ConfigError(f"{where}'definition' is missing")
-        return cls(
-            category=category,
-            definition=definition,
-            classification_criteria=get("classification_criteria", "a list of strings", []),
-            datatype_templates=get("datatype_templates", "an object of strings", {}) or None,
-            forbidden=get("forbidden", "a list of strings", []),
-            example_names=get("example_names", "a list of strings", []),
-        )
+        wrong shape is a :class:`ConfigError` naming ``where`` and the key.
+        ``null`` counts as unset."""
+        d = JsonObject(d, where, ConfigError)
+        if d.obj.get("category") != category.value:
+            found = d.obj.get("category")
+            raise fault(where, ("category",), repr(category.value), found, ConfigError)
+        definition = d.get("definition", "a string")
+        templates = d.get("datatype_templates", "an object or null", items="a string")
+        lists = {
+            key: d.get(key, "a list or null", items="a string") or []
+            for key in ("classification_criteria", "forbidden", "example_names")
+        }
+        return cls(category, definition, datatype_templates=templates or None, **lists)
 
 
 @dataclass
@@ -143,27 +133,27 @@ def load_category_schemas(schema_dir: str | Path) -> list[CategorySchema]:
     for category in CATEGORY_ORDER:
         path = Path(schema_dir) / f"{category.value}.json"
         data = read_json(path, "schema file", ConfigError)
-        schemas[category] = CategorySchema.from_dict(data, category, f"schema file {path} ")
+        schemas[category] = CategorySchema.from_dict(data, category, f"schema file {path}")
 
     field_schema = schemas[FunctionCategory.FIELD]
+    where = f"schema file {Path(schema_dir) / 'field.json'}"
     templates = field_schema.datatype_templates or {}
-    missing = [k for k in FIELD_TEMPLATE_KEYS if k not in templates]
-    if missing:
-        raise ConfigError(
-            f"field schema must define datatype templates {missing}"
-        )
+    if not templates.keys() >= set(FIELD_TEMPLATE_KEYS):
+        kind = f"an object with the keys {', '.join(FIELD_TEMPLATE_KEYS)}"
+        raise fault(where, ("datatype_templates",), kind, templates, ConfigError)
     joined = " ".join(field_schema.forbidden).lower()
     if "set" not in joined or "get" not in joined:
-        raise ConfigError("field schema must forbid set/get verbs")
+        kind = "a list naming set and get verbs"
+        raise fault(where, ("forbidden",), kind, field_schema.forbidden, ConfigError)
     return [schemas[c] for c in CATEGORY_ORDER]
 
 
 def load_refiner_constraints(path: str | Path) -> list[str]:
-    data = read_json(path, "refiner constraints", ConfigError)
-    if not isinstance(data, list) or not all(isinstance(c, str) for c in data):
-        raise ConfigError(f"refiner constraints {path} must be a JSON list of strings")
+    where = f"refiner constraints {path}"
+    data = check(read_json(path, "refiner constraints", ConfigError), "a list", where, (),
+                 ConfigError, items="a string")
     if not data:
-        raise ConfigError(f"refiner constraints {path} must not be empty")
+        raise fault(where, (), "a non-empty list", data, ConfigError)
     return data
 
 

@@ -10,10 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsum import pipeline as pipeline_module
-from expsum.cli import _load_corpus_records, main
+from expsum.cli import (
+    _load_corpus_records,
+    _load_jsonl_field,
+    _load_package_docs,
+    _read_metadata,
+    _read_record,
+    main,
+)
+from expsum.code_model import METADATA_FIELD_ORDER
 from expsum.config import load_pipeline_config, packaged_data_path, resolve_setting
-from expsum.errors import ConfigError
+from expsum.errors import ConfigError, MalformedKnowledgeBase
 from expsum.knowledge_base import load_knowledge_base
+from expsum.llm import MockScript
+from expsum.summarizer import load_category_schemas, load_refiner_constraints
 
 from e2e_fixtures import EXPECTED_SUMMARIES, write_fixture
 
@@ -118,12 +128,12 @@ class TestKbBuild:
     @pytest.mark.parametrize(
         "manifest, expected",
         [
-            ({"a": 1}, "is not a list"),
-            ([{"text": "x"}], "item 0: not an object with string 'path_context' and 'text'"),
-            ([{"path_context": "p", "text": "x"}, 3], "item 1: not an object"),
+            ({"a": 1}, " must be a list (got {'a': 1})"),
+            ([{"text": "x"}], ": item 0 'path_context' must be a string (got None)"),
+            ([{"path_context": "p", "text": "x"}, 3], ": item 1 must be an object (got 3)"),
             ([{"path_context": "p", "text": "x"}, {"path_context": "", "text": "y"}],
-             "item 1: PackageDoc.path_context must be non-empty"),
-            ("[1,", "not valid JSON"),
+             ": item 1: PackageDoc.path_context must be non-empty"),
+            ("[1,", " is not valid JSON"),
         ],
         ids=["object", "missing-key", "non-object-item", "empty-path-context", "not-json"],
     )
@@ -133,8 +143,8 @@ class TestKbBuild:
         path.write_text(text, encoding="utf-8")
         assert main(["kb-build", str(path), "--out", str(tmp_path / "kb.json")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: ValueError: manifest {path} ")
-        assert expected in err and err.count("\n") == 1
+        assert err.startswith(f"error: ValueError: manifest {path}{expected}")
+        assert err.count("\n") == 1
         assert not (tmp_path / "kb.json").exists()
 
     def test_non_utf8_doc_names_the_file(self, tmp_path, capsys):
@@ -196,10 +206,10 @@ class TestExtractAndCheck:
     @pytest.mark.parametrize(
         "record, expected",
         [
-            ([1], "record is not an object"),
-            ({"id": 1}, "record has no 'function'"),
+            ([1], " must be an object (got [1])"),
+            ({"id": 1}, ": 'function' must be an object (got None)"),
             ({"function": {"file_path": "a.ts", "source_text": "", "language": 5}},
-             "metadata field 'function.language' must be a string"),
+             ": 'function' 'language' must be a string (got 5)"),
         ],
         ids=["non-object", "missing-function", "ill-typed-language"],
     )
@@ -208,8 +218,7 @@ class TestExtractAndCheck:
         path.write_text(json.dumps(record), encoding="utf-8")
         assert main(["extract", "--record", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: ValueError: {path}: ") and expected in err
-        assert err.count("\n") == 1
+        assert err == f"error: ValueError: record {path}{expected}\n"
 
     def test_check_roundtrip(self, tmp_path, capsys):
         metadata = {
@@ -287,8 +296,8 @@ class TestRetrieveCommand:
     [
         (b'{"function_name": "\xff"}', "metadata {path} is not UTF-8 text (invalid start byte at byte 19)"),
         (b'{"function_name": ', "metadata {path} is not valid JSON (Expecting value: line 1"),
-        (b'["f"]', "{path}: metadata is not a JSON object"),
-        (b'{"dmt": 3}', "{path}: metadata field 'dmt' must be an object of strings, not 3"),
+        (b'["f"]', "metadata {path} must be an object (got ['f'])"),
+        (b'{"dmt": 3}', "metadata {path}: 'dmt' must be an object (got 3)"),
     ],
     ids=["not-utf8", "truncated", "non-object", "ill-typed-field"],
 )
@@ -377,37 +386,47 @@ class TestConfigTypes:
     @pytest.mark.parametrize(
         "change, expected",
         [
-            (lambda c: c.update(retrieval=5), "config 'retrieval' must be an object (got 5)"),
-            (lambda c: c.update(summarizer=5), "config 'summarizer' must be an object (got 5)"),
-            (lambda c: c.update(llm=5), "config 'llm' must be an object (got 5)"),
-            (lambda c: c.update(dmt_keys=5), "config 'dmt_keys' must be a list (got 5)"),
-            (lambda c: c.update(dmt_keys=["@since", 5]), "config 'dmt_keys' must be a list of strings"),
-            (lambda c: c["llm"].update(timeout=[1]), "config 'llm' 'timeout' must be a finite number (got [1])"),
-            (lambda c: c["llm"].update(retries=1.5), "config 'llm' 'retries' must be an integer (got 1.5)"),
-            (lambda c: c["llm"].update(backend=["mock"]), "config 'llm' 'backend' must be a string (got ['mock'])"),
-            (lambda c: c.update(workers="x"), "config 'workers' must be an integer (got 'x')"),
-            (lambda c: c.update(workers=True), "config 'workers' must be an integer (got True)"),
-            (lambda c: c.update(kb_path=5), "config 'kb_path' must be a string (got 5)"),
-            (lambda c: c["retrieval"].update(top_n="9"), "config 'retrieval' 'top_n' must be an integer (got '9')"),
+            (lambda c: c.update(retrieval=5), "'retrieval' must be an object (got 5)"),
+            (lambda c: c.update(summarizer=5), "'summarizer' must be an object (got 5)"),
+            (lambda c: c.update(llm=5), "'llm' must be an object (got 5)"),
+            (lambda c: c.update(dmt_keys=5), "'dmt_keys' must be a list (got 5)"),
+            (lambda c: c.update(dmt_keys=["@since", 5]), "'dmt_keys' item 1 must be a string (got 5)"),
+            (lambda c: c["llm"].update(timeout=[1]), "'llm' 'timeout' must be a finite number (got [1])"),
+            (lambda c: c["llm"].update(retries=1.5), "'llm' 'retries' must be an integer (got 1.5)"),
+            (lambda c: c["llm"].update(backend=["mock"]),
+             "'llm' 'backend' must be a string or null (got ['mock'])"),
+            (lambda c: c.update(workers="x"), "'workers' must be an integer (got 'x')"),
+            (lambda c: c.update(workers=True), "'workers' must be an integer (got True)"),
+            (lambda c: c.update(kb_path=5), "'kb_path' must be a string or null (got 5)"),
+            (lambda c: c["retrieval"].update(top_n="9"), "'retrieval' 'top_n' must be an integer (got '9')"),
             (lambda c: c["retrieval"].update(path_overlap_threshold=None),
-             "config 'retrieval' 'path_overlap_threshold' must be a finite number (got None)"),
+             "'retrieval' 'path_overlap_threshold' must be a finite number (got None)"),
             (lambda c: c["llm"].update(timeout=10**400),
-             "config 'llm' 'timeout' must be a finite number (got 1" + "0" * 39 + ")"),
-            (lambda c: c["llm"].update(timeout=0), "timeout must be > 0"),
-            (lambda c: c["llm"].update(retries=-1), "retries must be >= 0"),
+             "'llm' 'timeout' must be a finite number (got 1" + "0" * 39 + ")"),
+            (lambda c: c["llm"].update(timeout=0), "'llm' 'timeout' must be above 0 (got 0.0)"),
+            (lambda c: c["llm"].update(retries=-1), "'llm' 'retries' must be at least 0 (got -1)"),
             (lambda c: c["summarizer"].update(max_iterations={}),
-             "config 'summarizer' 'max_iterations' must be an integer (got {})"),
+             "'summarizer' 'max_iterations' must be an integer (got {})"),
+            (lambda c: c.update(workers=0), "'workers' must be at least 1 (got 0)"),
+            (lambda c: c.pop("kb_path"), "'kb_path' must be a non-empty string (got None)"),
+            (lambda c: c["summarizer"].update(max_iterations=0),
+             "'summarizer' 'max_iterations' must be at least 1 (got 0)"),
+            (lambda c: c["summarizer"].update(max_parse_retries=-1),
+             "'summarizer' 'max_parse_retries' must be at least 0 (got -1)"),
+            (lambda c: c["retrieval"].update(top_n=0), "invalid retrieval settings: top_n must be >= 1"),
+            (lambda c: c["llm"].update(backend="x"), "'llm' 'backend' must be 'mock' or 'http' (got 'x')"),
         ],
         ids=[
             "retrieval", "summarizer", "llm", "dmt-keys", "dmt-key-item", "llm-timeout",
             "llm-retries", "llm-backend", "workers-str", "workers-bool", "kb-path",
             "top-n", "path-threshold-null", "timeout-huge-int", "timeout-0",
-            "retries-negative", "max-iterations",
+            "retries-negative", "max-iterations", "workers-0", "no-kb-path",
+            "max-iterations-0", "max-parse-retries-negative", "top-n-0", "unknown-backend",
         ],
     )
     def test_one_config_error_line(self, fixture_paths, capsys, change, expected):
         err = summarize_fails(fixture_paths, capsys, change=change)
-        assert err == f"error: ConfigError: {expected}\n"
+        assert err == f"error: ConfigError: config {fixture_paths['config']}: {expected}\n"
 
 
 json_values = st.recursive(
@@ -437,17 +456,61 @@ def configs(draw):
     return config
 
 
-@settings(max_examples=300, deadline=None)
-@given(configs())
-def test_config_loader_raises_only_config_error(config):
-    with tempfile.TemporaryDirectory() as root:
-        (Path(root) / "kb.json").write_text("{}", encoding="utf-8")
-        path = Path(root) / "config.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+def objects(keys, values=json_values):
+    """JSON objects over ``keys``, so that a loader's own keys are drawn."""
+    return st.dictionaries(st.sampled_from(keys), values, max_size=len(keys))
+
+
+# Each JSON loader: the file it reads, the JSON values written there (each
+# line of a JSON-lines file is one), its error type and how it is called.
+JSON_LOADERS = {
+    "config": ("config.json", configs(), ConfigError, lambda p: load_pipeline_config(p, env={})),
+    "schema-file": ("schemas/utility.json",
+                    objects(["category", "definition", "classification_criteria", "forbidden",
+                             "datatype_templates", "example_names"],
+                            st.sampled_from(["utility", "def"]) | json_values),
+                    ConfigError, lambda p: load_category_schemas(p.parent)),
+    "refiner-constraints": ("constraints.json", st.lists(json_values, max_size=3),
+                            ConfigError, load_refiner_constraints),
+    "mock-script": ("script.json", st.lists(objects(["match", "response", "regex", "default"])),
+                    ConfigError, MockScript.load),
+    "manifest": ("docs.json", st.lists(objects(["path_context", "text"]), max_size=3),
+                 ValueError, _load_package_docs),
+    "metadata": ("meta.json", objects(list(METADATA_FIELD_ORDER)), ValueError, _read_metadata),
+    "record": ("record.json",
+               objects(["function"],
+                       objects(["file_path", "source_text", "language", "pre_extracted"])),
+               ValueError, _read_record),
+    "corpus-line": ("corpus.jsonl", objects(["id", "function"]), ValueError,
+                    _load_corpus_records),
+    "evaluate-line": ("generated.jsonl", objects(["id", "candidate"]), ValueError,
+                      lambda p: _load_jsonl_field(p, "candidate")),
+    "knowledge-base": ("kb.json",
+                       objects(["format", "model", "docs", "entries"], st.just(5) | json_values),
+                       MalformedKnowledgeBase, load_knowledge_base),
+}
+
+
+@pytest.mark.parametrize("loader", list(JSON_LOADERS))
+def test_json_loader_raises_only_its_error_naming_the_file(tmp_path, loader):
+    """Any JSON value, or one shaped like the loader's input, loads or is
+    the loader's typed error, one line naming the file."""
+    name, values, error, load = JSON_LOADERS[loader]
+    (tmp_path / "kb.json").write_text("{}", encoding="utf-8")
+    shutil.copytree(packaged_data_path("schemas"), tmp_path / "schemas")
+    path = tmp_path / name
+
+    @settings(max_examples=300 if loader == "config" else 100, deadline=None)
+    @given(st.one_of(json_values, values))
+    def loads_or_names_the_file(value):
+        path.write_text(json.dumps(value) + "\n", encoding="utf-8")
         try:
-            load_pipeline_config(path, env={})
-        except ConfigError as e:
-            assert "\n" not in str(e)
+            load(path)
+        except error as e:
+            assert type(e) is error
+            assert "\n" not in str(e) and str(path) in str(e), str(e)
+
+    loads_or_names_the_file()
 
 
 # Corpus bytes: binary noise, or lines of JSON-ish fragments with bytes that
@@ -473,7 +536,8 @@ def test_corpus_loader_raises_only_value_error_naming_path_and_line(data):
             records = _load_corpus_records(path)
         except ValueError as e:
             assert type(e) is ValueError
-            assert re.match(rf"{re.escape(str(path))} line [1-9][0-9]*(: | is not )", str(e)), str(e)
+            line = rf"{re.escape(str(path))} line [1-9][0-9]*(: | is not | must be )"
+            assert re.match(line, str(e)), str(e)
         else:
             assert all(isinstance(r, dict) for r in records)
 
@@ -486,11 +550,11 @@ class TestSchemaFileTypes:
         "name, content, expected",
         [
             ("procedural", {"classification_criteria": 5},
-             "'classification_criteria' must be a list of strings (got 5)"),
-            ("procedural", [1], "must be a JSON object (got [1])"),
-            ("procedural", {"forbidden": "set"}, "'forbidden' must be a list of strings (got 'set')"),
-            ("procedural", {"definition": 7}, "'definition' must be a string (got 7)"),
-            ("utility", {"category": "field"}, "'category' must be 'utility' (got 'field')"),
+             ": 'classification_criteria' must be a list or null (got 5)"),
+            ("procedural", [1], " must be an object (got [1])"),
+            ("procedural", {"forbidden": "set"}, ": 'forbidden' must be a list or null (got 'set')"),
+            ("procedural", {"definition": 7}, ": 'definition' must be a string (got 7)"),
+            ("utility", {"category": "field"}, ": 'category' must be 'utility' (got 'field')"),
         ],
         ids=["criteria-int", "not-object", "forbidden-str", "definition-int", "category-mismatch"],
     )
@@ -506,31 +570,32 @@ class TestSchemaFileTypes:
         err = summarize_fails(
             fixture_paths, capsys, change=lambda c: c.update(schema_dir=str(schema_dir))
         )
-        assert err == f"error: ConfigError: schema file {path} {expected}\n"
+        assert err == f"error: ConfigError: schema file {path}{expected}\n"
 
 
 class TestMockScriptShape:
     @pytest.mark.parametrize(
         "script, expected",
         [
-            ('{"match": "a"}', "must be a JSON list"),
-            ('["oops"]', "item 0 is not an object"),
-            ('[{"response": "x"}]', "item 0: 'match' is missing or not a string"),
+            ('{"match": "a"}', " must be a list (got {'match': 'a'})"),
+            ('["oops"]', ": item 0 must be an object (got 'oops')"),
+            ('[{"response": "x"}]', ": item 0 'match' must be a string (got None)"),
             ('[{"match": "a", "response": "b"}, {"match": "a"}]',
-             "item 1: 'response' is missing or not a string"),
-            ('[{"match": 1, "response": "x"}]', "item 0: 'match' is missing or not a string"),
-            ('[{"match": "a", "response": null}]', "item 0: 'response' is missing or not a string"),
-            ('[{"default": 3}]', "item 0: 'default' is not a string"),
-            ('[{"match": "(", "response": "x", "regex": true}]', "item 0: 'match' is not a valid pattern"),
-            ("[oops", "is not valid JSON"),
+             ": item 1 'response' must be a string (got None)"),
+            ('[{"match": 1, "response": "x"}]', ": item 0 'match' must be a string (got 1)"),
+            ('[{"match": "a", "response": null}]', ": item 0 'response' must be a string (got None)"),
+            ('[{"default": 3}]', ": item 0 'default' must be a string (got 3)"),
+            ('[{"match": "(", "response": "x", "regex": true}]', ": item 0 'match' is not a valid pattern"),
+            ("[oops", " is not valid JSON"),
+            ('[{"match": "a", "response": "x", "regex": "false"}]',
+             ": item 0 'regex' must be a boolean (got 'false')"),
         ],
         ids=["not-list", "item-not-object", "no-match", "no-response", "match-int",
-             "response-null", "default-int", "bad-pattern", "not-json"],
+             "response-null", "default-int", "bad-pattern", "not-json", "regex-string"],
     )
     def test_one_config_error_line_naming_the_script(self, fixture_paths, capsys, script, expected):
         err = summarize_fails(fixture_paths, capsys, script=script)
-        assert err.startswith(f"error: ConfigError: mock script {fixture_paths['script']}")
-        assert expected in err
+        assert err.startswith(f"error: ConfigError: mock script {fixture_paths['script']}{expected}")
 
     def test_mock_backend_without_script_fails_fast(self, fixture_paths, capsys):
         err = summarize_fails(
@@ -666,6 +731,9 @@ class TestInputFileFaults:
         assert not out.exists()
 
 
+ID_KIND = "'id' must be a non-empty string or a finite number"
+
+
 class TestSummarizeCommand:
     def run_summarize(self, paths, out_name="out.jsonl", extra=()):
         out = paths["config"].parent / out_name
@@ -764,7 +832,7 @@ class TestSummarizeCommand:
         assert lines[-1] == {"id": "bad-shape", "error": "ValueError"}
         assert all("error" not in line for line in lines[:-1])
         field = next(iter(change))
-        assert f"record 'bad-shape' failed: ValueError: metadata field '{field}'" in (
+        assert f"record 'bad-shape' failed: ValueError: 'function' 'pre_extracted' '{field}' must be" in (
             capsys.readouterr().err
         )
 
@@ -798,16 +866,16 @@ class TestSummarizeCommand:
         "line, expected",
         [
             ("{not json", "line 4 is not valid JSON (Expecting property name"),
-            ('{"id": [1], "function": {}}', "line 4: record without a string or number id"),
-            ('{"id": "battery-level"}', "line 4: duplicate id 'battery-level'"),
-            ('{"id": true}', "line 4: record without a string or number id"),
-            ('{"id": false}', "line 4: record without a string or number id"),
-            ('{"id": null}', "line 4: record without a string or number id"),
-            ('{"id": ""}', "line 4: record without a string or number id"),
-            ('{"id": {}}', "line 4: record without a string or number id"),
-            ('{"function": {}}', "line 4: record without a string or number id"),
-            ('{"id": NaN}', "line 4: record without a string or number id"),
-            ('{"id": -Infinity}', "line 4: record without a string or number id"),
+            ('{"id": [1], "function": {}}', f"line 4: {ID_KIND} (got [1])"),
+            ('{"id": "battery-level"}', "line 4: duplicate id 'battery-level' (line 1 has 'battery-level')"),
+            ('{"id": true}', f"line 4: {ID_KIND} (got True)"),
+            ('{"id": false}', f"line 4: {ID_KIND} (got False)"),
+            ('{"id": null}', f"line 4: {ID_KIND} (got None)"),
+            ('{"id": ""}', f"line 4: {ID_KIND} (got '')"),
+            ('{"id": {}}', f"line 4: {ID_KIND} (got {{}})"),
+            ('{"function": {}}', f"line 4: {ID_KIND} (got None)"),
+            ('{"id": NaN}', f"line 4: {ID_KIND} (got nan)"),
+            ('{"id": -Infinity}', f"line 4: {ID_KIND} (got -inf)"),
             (b'{"id": "z\xff", "function": {}}', "line 4 is not UTF-8 text (byte 0xff at column 10)"),
             ("[" * 100_000, "line 4 is not valid JSON (maximum recursion depth exceeded"),
             ('{"id": ' + "9" * 5000 + "}", "line 4 is not valid JSON (Exceeds the limit"),
@@ -828,6 +896,26 @@ class TestSummarizeCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {fixture_paths['corpus']} {expected}")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "first, second", [(1, "1"), ("1", 1), (1, 1.0), (-0.0, 0)], ids=repr
+    )
+    def test_ids_alike_are_one_error_line(self, fixture_paths, capsys, first, second):
+        build_kb(fixture_paths)
+        fixture_paths["corpus"].write_text(
+            "".join(json.dumps({"id": i, "function": "oops"}) + "\n" for i in (first, second)),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        out = fixture_paths["config"].parent / "out.jsonl"
+        argv = ["summarize", str(fixture_paths["corpus"]),
+                "--config", str(fixture_paths["config"]), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: ValueError: {fixture_paths['corpus']} line 2: "
+            f"duplicate id {second!r} (line 1 has {first!r})\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("record_id", [0, 7, -3, 1.5, "0"], ids=repr)
@@ -868,7 +956,7 @@ class TestSummarizeCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == (
-            f"error: ValueError: {fixture_paths['corpus']} line 1: record is not an object\n"
+            f"error: ValueError: {fixture_paths['corpus']} line 1 must be an object (got [1])\n"
         )
 
     def test_unwritable_out_fails_before_any_record_runs(self, fixture_paths, capsys):
@@ -992,7 +1080,7 @@ class TestEvaluateCommand:
         )
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: ValueError: {generated} line 2: record is not an object\n"
+            f"error: ValueError: {generated} line 2 must be an object (got [1])\n"
         )
         assert not (tmp_path / "report.json").exists()
 
@@ -1014,6 +1102,41 @@ class TestEvaluateCommand:
             f"error: ValueError: {generated} line 1 is not UTF-8 text (byte 0xe9 at column 30)\n"
         )
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "ids, expected",
+        [
+            ([None, "2"], f"line 1: {ID_KIND} (got None)"),
+            ([[1], "2"], f"line 1: {ID_KIND} (got [1])"),
+            ([True, "2"], f"line 1: {ID_KIND} (got True)"),
+            (["1", "2", "2"], "line 3: duplicate id '2' (line 2 has '2')"),
+            ([1, "1", 2, 2], "line 2: duplicate id '1' (line 1 has 1)"),
+        ],
+        ids=["missing-id", "list-id", "bool-id", "repeated-id", "number-beside-its-text"],
+    )
+    @pytest.mark.parametrize("side", ["generated", "references"])
+    def test_bad_id_is_one_error_line(self, tmp_path, capsys, ids, expected, side):
+        """Both files follow the corpus id rule: one error line, exit 1 and
+        no report, never a silent join of the ids' texts."""
+        files = {name: tmp_path / f"{name}.jsonl" for name in ("generated", "references")}
+        for name, path in files.items():
+            lines = [
+                {"candidate": "a b", "reference": "a b"} | ({} if i is None else {"id": i})
+                for i in (ids if name == side else ["1", "2"])
+            ]  # a None id is left out
+            path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "evaluate",
+                "--generated", str(files["generated"]),
+                "--references", str(files["references"]),
+                "--report", str(report),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: {files[side]} {expected}\n"
+        assert not report.exists()
 
     def test_csv_output(self, tmp_path):
         generated = tmp_path / "gen.jsonl"

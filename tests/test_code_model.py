@@ -206,19 +206,37 @@ class TestRecordShape:
     @pytest.mark.parametrize(
         "change, field",
         [
-            ({"parameters": "zz"}, "'parameters' must be a list of objects"),
-            ({"parameters": [1]}, "'parameters' must be a list of objects"),
-            ({"parameters": [{"name": 3}]}, "'parameters[0].name' must be a string"),
-            ({"parameters": [{"name": None}]}, "'parameters[0].name' must be a string"),
+            ({"parameters": "zz"}, "'parameters' must be a list or null (got 'zz')"),
+            ({"parameters": [1]}, "'parameters' item 0 must be an object (got 1)"),
+            ({"parameters": [{"name": 3}]}, "'parameters' item 0 'name' must be a string (got 3)"),
+            ({"parameters": [{"name": None}]},
+             "'parameters' item 0 'name' must be a string (got None)"),
             ({"parameters": [{"name": "x", "type_annotation": []}]},
-             "'parameters[0].type_annotation' must be a string"),
-            ({"dependency": "abc"}, "'dependency' must be a list of strings"),
-            ({"dependency": [1]}, "'dependency' must be a list of strings"),
-            ({"dmt": "x"}, "'dmt' must be an object of strings"),
-            ({"dmt": None}, "'dmt' must be an object of strings"),
-            ({"dmt": {"@since": 9}}, "'dmt' must be an object of strings"),
-            ({"function_name": None}, "'function_name' must be a string"),
-            ({"return_type": 5}, "'return_type' must be a string"),
+             "'parameters' item 0 'type_annotation' must be a string or null (got [])"),
+            ({"dependency": "abc"}, "'dependency' must be a list or null (got 'abc')"),
+            ({"dependency": [1]}, "'dependency' item 0 must be a string (got 1)"),
+            ({"dmt": "x"}, "'dmt' must be an object (got 'x')"),
+            ({"dmt": None}, "'dmt' must be an object (got None)"),
+            ({"dmt": {"@since": 9}}, "'dmt' '@since' must be a string (got 9)"),
+            ({"function_name": None}, "'function_name' must be a string (got None)"),
+            ({"return_type": 5}, "'return_type' must be a string or null (got 5)"),
+        ],
+        ids=[  # each fault by the field at fault and the rule it breaks
+            f"change{n}-{rule}"
+            for n, rule in enumerate([
+                "'parameters' must be a list of objects",
+                "'parameters' must be a list of objects",
+                "'parameters[0].name' must be a string",
+                "'parameters[0].name' must be a string",
+                "'parameters[0].type_annotation' must be a string",
+                "'dependency' must be a list of strings",
+                "'dependency' must be a list of strings",
+                "'dmt' must be an object of strings",
+                "'dmt' must be an object of strings",
+                "'dmt' must be an object of strings",
+                "'function_name' must be a string",
+                "'return_type' must be a string",
+            ])
         ],
     )
     def test_wrong_shape_names_the_field(self, change, field):

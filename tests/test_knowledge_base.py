@@ -599,7 +599,7 @@ class TestLoadErrors:
         "text, expected",
         [
             ("{not json", "not valid JSON"),
-            ("[]", "not a JSON object"),
+            ("[]", "knowledge base must be an object (got [])"),
             ("{}", "no format field"),
             (broken(set_in(("format",), 1)), "format 1, expected format 5"),
             (broken(set_in(("format",), 2)), "format 2, expected format 5"),
@@ -608,22 +608,41 @@ class TestLoadErrors:
             ("[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
             ('{"format": 5, "model": ' + "9" * 5000 + "}",
              "not valid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
-            (broken(lambda p: p.pop("docs")), "'docs' is missing or not a dict"),
-            (broken(set_in(("docs",), FORMAT_3["docs"])), "'docs' is missing or not a dict"),
-            (broken(set_in(("model",), [])), "'model' is missing or not a dict"),
-            (broken(set_in(("model",), MODEL)), "'model' 'tokens' is missing or not a list"),
-            (broken(lambda p: p["model"].pop("alpha")), "'model' lacks a key"),
+            (broken(lambda p: p.pop("docs")), "'docs' must be an object (got None)"),
+            (broken(set_in(("docs",), FORMAT_3["docs"])),
+             "'docs' must be an object (got [{'path_context': 'ohos.media'"),
+            (broken(set_in(("model",), [])), "'model' must be an object (got [])"),
+            (broken(set_in(("model",), MODEL)), "'model' 'tokens' must be a list (got None)"),
+            (broken(lambda p: p["model"].pop("alpha")),
+             "'model' 'alpha' must be a finite number (got None)"),
             (broken(set_in(("model", "vocabulary", 0), "x")),
-             "'model' 'vocabulary' holds neither an integer nor null"),
-            (broken(set_in(("model", "vocabulary", 0), False)), "holds neither an integer nor null"),
-            (broken(set_in(("model", "doc_count"), 1e400)), "ill-typed"),
-            (broken(set_in(("model", "doc_count"), 0)), "'doc_count' 0 is below 1"),
-            (broken(set_in(("model", "doc_frequency", 0), 0)), "a count below 1"),
-            (broken(set_in(("model", "doc_frequency", 0), True)), "'doc_frequency' holds a non-integer"),
-            (broken(set_in(("model", "doc_frequency", 0), 1.0)), "'doc_frequency' holds a non-integer"),
-            (broken(set_in(("model", "alpha"), -0.5)), "'alpha' -0.5 is negative"),
-            (broken(set_in(("model", "alpha"), float("inf"))), "or not finite"),
-            (broken(set_in(("model", "alpha"), float("nan"))), "or not finite"),
+             "'model' 'vocabulary' item 0 must be an integer or null (got 'x')"),
+            (broken(set_in(("model", "vocabulary", 0), False)),
+             "'model' 'vocabulary' item 0 must be an integer or null (got False)"),
+            (broken(set_in(("model", "doc_count"), 1e400)),
+             "'model' 'doc_count' must be an integer (got inf)"),
+            (broken(set_in(("model", "doc_count"), 0)),
+             "'model' 'doc_count' must be at least 1 (got 0)"),
+            (broken(set_in(("model", "doc_count"), "2")),
+             "'model' 'doc_count' must be an integer (got '2')"),
+            (broken(set_in(("model", "doc_count"), True)),
+             "'model' 'doc_count' must be an integer (got True)"),
+            (broken(set_in(("model", "doc_count"), 2.9)),
+             "'model' 'doc_count' must be an integer (got 2.9)"),
+            (broken(set_in(("model", "doc_frequency", 0), 0)),
+             "'model' 'doc_frequency' item 0 must be at least 1 (got 0)"),
+            (broken(set_in(("model", "doc_frequency", 0), True)),
+             "'model' 'doc_frequency' item 0 must be an integer (got True)"),
+            (broken(set_in(("model", "doc_frequency", 0), 1.0)),
+             "'model' 'doc_frequency' item 0 must be an integer (got 1.0)"),
+            (broken(set_in(("model", "alpha"), -0.5)),
+             "'model' 'alpha' must be at least 0 (got -0.5)"),
+            (broken(set_in(("model", "alpha"), float("inf"))),
+             "'model' 'alpha' must be a finite number (got inf)"),
+            (broken(set_in(("model", "alpha"), float("nan"))),
+             "'model' 'alpha' must be a finite number (got nan)"),
+            (broken(set_in(("model", "alpha"), "1")),
+             "'model' 'alpha' must be a finite number (got '1')"),
             (broken(lambda p: p["model"]["vocabulary"].append(1)),
              "'model' has 1 tokens, 1 frequencies and 2 vocabulary indices"),
             (broken(lambda p: p["model"]["tokens"].append("zoom")),
@@ -636,24 +655,33 @@ class TestLoadErrors:
             (broken(lambda p: p["model"].update(tokens=["media", "media"], doc_frequency=[1, 1],
                                                 vocabulary=[0, None])),
              "'model' 'tokens' are not in strictly ascending order"),
-            (broken(set_in(("model", "tokens", 0), 7)), "'model' 'tokens' holds a non-string"),
+            (broken(set_in(("model", "tokens", 0), 7)),
+             "'model' 'tokens' item 0 must be a string (got 7)"),
             (broken(lambda p: p["docs"]["path_contexts"].append("ohos.x")),
              "'docs' has 2 path contexts, 1 texts and 1 sizes"),
             (broken(set_column("docs", "sizes", "I", [1, 0])),
              "'docs' has 1 path contexts, 1 texts and 2 sizes"),
-            (broken(set_in(("docs", "path_contexts", 0), None)), "'path_contexts' holds a non-string"),
-            (broken(set_in(("docs", "texts", 0), 3)), "'texts' holds a non-string"),
-            (broken(lambda p: p["docs"].pop("texts")), "'docs' 'texts' is missing or not a list"),
-            (broken(lambda p: p["docs"].pop("indices")), "'docs' 'indices' is missing or not a str"),
-            (broken(set_in(("docs", "weights"), [0.69])), "'weights' is missing or not a str"),
-            (broken(set_in(("docs", "indices"), True)), "'indices' is missing or not a str"),
-            (broken(set_in(("docs", "weights"), None)), "'weights' is missing or not a str"),
+            (broken(set_in(("docs", "path_contexts", 0), None)),
+             "'docs' 'path_contexts' item 0 must be a string (got None)"),
+            (broken(set_in(("docs", "texts", 0), 3)),
+             "'docs' 'texts' item 0 must be a string (got 3)"),
+            (broken(lambda p: p["docs"].pop("texts")), "'docs' 'texts' must be a list (got None)"),
+            (broken(lambda p: p["docs"].pop("indices")),
+             "'docs' 'indices' must be a string (got None)"),
+            (broken(set_in(("docs", "weights"), [0.69])),
+             "'docs' 'weights' must be a string (got [0.69])"),
+            (broken(set_in(("docs", "indices"), True)),
+             "'docs' 'indices' must be a string (got True)"),
+            (broken(set_in(("docs", "weights"), None)),
+             "'docs' 'weights' must be a string (got None)"),
             (broken(set_in(("docs", "weights"), "x!")), "'docs' 'weights' is not valid base64"),
             (broken(set_in(("docs", "indices"), "AAAA*AAA")), "'indices' is not valid base64"),
             (broken(set_in(("docs", "sizes"), "AQAAAA")), "'sizes' is not valid base64"),
             (broken(set_in(("docs", "sizes"), "AQAAAé==")), "'sizes' is not valid base64"),
-            (broken(set_in(("entries", "run_docs"), "0")), "'entries' 'run_docs' is missing or not a list"),
-            (broken(set_in(("docs", "indices"), "AAAA")), "'indices' holds 3 bytes, not whole 4-byte"),
+            (broken(set_in(("entries", "run_docs"), "0")),
+             "'entries' 'run_docs' must be a list (got '0')"),
+            (broken(set_in(("docs", "indices"), "AAAA")),
+             "'indices' holds 3 bytes, not whole 4-byte"),
             (broken(set_in(("docs", "weights"), packed("I", [1, 2, 3]))),
              "'weights' holds 12 bytes, not whole 8-byte items"),
             (broken(set_column("docs", "sizes", "I", [2])),
@@ -664,29 +692,39 @@ class TestLoadErrors:
             (broken(lambda p: p["docs"].update(sizes=packed("I", [2]), indices=packed("I", [0, 0]),
                                                weights=packed("d", [1.0, 2.0]))),
              "'indices' repeats an index in doc 0"),
-            (broken(set_in(("entries",), [{"term": "MediaKit", "doc": 0}])), "'entries' is missing or not a dict"),
-            (broken(lambda p: p["entries"].pop("terms")), "'entries' 'terms' is missing"),
-            (broken(set_in(("entries", "run_docs", 0), [0])), "'entries' 'run_docs' holds a non-integer"),
+            (broken(set_in(("entries",), [{"term": "MediaKit", "doc": 0}])),
+             "'entries' must be an object (got [{'term': 'MediaKit', 'doc': 0}])"),
+            (broken(lambda p: p["entries"].pop("terms")),
+             "'entries' 'terms' must be a list (got None)"),
+            (broken(set_in(("entries", "run_docs", 0), [0])),
+             "'entries' 'run_docs' item 0 must be an integer (got [0])"),
             (broken(lambda p: p["entries"]["term_refs"].append(0)),
              "'entries' 'run_lengths' add up to 1 but there are 2 term references"),
-            (broken(set_in(("entries", "terms", 0), 7)), "'terms' holds a non-string"),
+            (broken(set_in(("entries", "terms", 0), 7)),
+             "'entries' 'terms' item 0 must be a string (got 7)"),
             (broken(set_in(("entries", "run_docs", 0), 1)),
              "'entries' 'run_docs' holds 1, not one of the 1 docs"),
             (broken(set_in(("entries", "run_docs", 0), 2**32 - 1)), "holds 4294967295, not one of"),
             (broken(set_in(("entries", "term_refs", 0), 1)),
              "'entries' 'term_refs' holds 1, not one of the 1 terms"),
             (broken(set_in(("entries", "term_refs", 0), -1)), "'term_refs' holds -1, not one of"),
-            (broken(set_in(("entries", "term_refs", 0), False)), "'term_refs' holds a non-integer"),
-            (broken(set_in(("entries", "term_refs"), "AAAAAA==")), "'term_refs' is missing or not a list"),
-            (broken(lambda p: p["entries"].pop("run_lengths")), "'run_lengths' is missing or not a list"),
+            (broken(set_in(("entries", "term_refs", 0), False)),
+             "'entries' 'term_refs' item 0 must be an integer (got False)"),
+            (broken(set_in(("entries", "term_refs"), "AAAAAA==")),
+             "'entries' 'term_refs' must be a list (got 'AAAAAA==')"),
+            (broken(lambda p: p["entries"].pop("run_lengths")),
+             "'entries' 'run_lengths' must be a list (got None)"),
             (broken(lambda p: p["entries"]["run_docs"].append(0)), "2 run docs but 1 run lengths"),
             (broken(set_in(("entries", "run_lengths", 0), 2)),
              "'run_lengths' add up to 2 but there are 1 term references"),
             (broken(lambda p: p["entries"].update(run_docs=[0, 0], run_lengths=[2, -1])),
-             "'run_lengths' holds a non-integer or a length below 1"),
-            (broken(set_in(("entries", "run_lengths", 0), 0)), "or a length below 1"),
-            (broken(set_in(("entries", "run_lengths", 0), True)), "holds a non-integer or a length"),
-            (broken(set_in(("entries", "run_lengths", 0), 1.0)), "holds a non-integer or a length"),
+             "'entries' 'run_lengths' item 1 must be at least 1 (got -1)"),
+            (broken(set_in(("entries", "run_lengths", 0), 0)),
+             "'entries' 'run_lengths' item 0 must be at least 1 (got 0)"),
+            (broken(set_in(("entries", "run_lengths", 0), True)),
+             "'entries' 'run_lengths' item 0 must be an integer (got True)"),
+            (broken(set_in(("entries", "run_lengths", 0), 1.0)),
+             "'entries' 'run_lengths' item 0 must be an integer (got 1.0)"),
             (broken(lambda p: p["entries"].update(term_refs=[], run_docs=[0], run_lengths=[])),
              "1 run docs but 0 run lengths"),
         ],
@@ -694,8 +732,9 @@ class TestLoadErrors:
             "not-json", "array", "empty-object", "format-1", "format-2", "format-3", "format-4",
             "too-deep", "huge-int", "no-docs", "docs-list", "model-list", "model-format-4",
             "no-alpha", "vocabulary-value", "vocabulary-bool", "doc-count-huge", "doc-count-0",
+            "doc-count-str", "doc-count-bool", "doc-count-float",
             "frequency-0", "frequency-bool", "frequency-float", "alpha-negative", "alpha-inf",
-            "alpha-nan", "vocabulary-without-frequency", "token-without-frequency",
+            "alpha-nan", "alpha-str", "vocabulary-without-frequency", "token-without-frequency",
             "frequency-without-token", "tokens-unsorted", "tokens-repeated", "token-not-string",
             "extra-context", "extra-size",
             "context-not-string", "text-not-string", "no-texts", "no-indices",

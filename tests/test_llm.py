@@ -344,4 +344,4 @@ class TestDefaultTransport:
 def test_script_shape_errors_name_the_item():
     with pytest.raises(ConfigError) as err:
         MockScript.from_json('[{"match": "a", "response": "b"}, "oops"]')
-    assert str(err.value) == "mock script item 1 is not an object"
+    assert str(err.value) == "mock script: item 1 must be an object (got 'oops')"
