@@ -98,8 +98,8 @@ def check(
 ):
     """``value``, if it is of ``kind`` (a finite number is neither infinite,
     NaN nor an integer past the float range) and, given an ``items`` kind,
-    so is each item of the list or value of the object; given ``least``, the
-    value, or else each item, must be at least ``least``. Otherwise the
+    so is each item of the list or value of the object; else, given
+    ``least``, the value must be at least ``least``. Otherwise the
     :func:`fault`, naming the first item at fault."""
     if type(value) not in KINDS[kind] or (
         kind == "a finite number" and not abs(value) <= sys.float_info.max
@@ -112,19 +112,10 @@ def check(
         values = value.values() if type(value) is dict else value
         # one pass over the types, as a KB column can be long
         if not set(map(type, values)) <= KINDS[items]:
-            key, item = _first(value, lambda v: type(v) not in KINDS[items])
+            pairs = value.items() if type(value) is dict else enumerate(value)
+            key, item = next((k, v) for k, v in pairs if type(v) not in KINDS[items])
             raise fault(where, (*path, key), items, item, error)
-        if least is not None and min(values, default=least) < least:
-            key, item = _first(value, lambda v: v < least)
-            raise fault(where, (*path, key), f"at least {least}", item, error)
     return value
-
-
-def _first(value, at_fault) -> tuple:
-    """The key or position, and the item, of the first item of the list or
-    object ``value`` that is ``at_fault``."""
-    pairs = value.items() if type(value) is dict else enumerate(value)
-    return next((key, item) for key, item in pairs if at_fault(item))
 
 
 class JsonObject:

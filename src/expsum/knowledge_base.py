@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Collection, Optional
 
 from .errors import ClientFailure, EmptyCorpus, IoFailure, MalformedKnowledgeBase
-from .files import JsonObject, check, parse_json, read_text
+from .files import JsonObject, check, fault, parse_json, read_text
 
 # Compact standard English stopword list used to pick semantic-extraction
 # candidates.
@@ -324,50 +324,73 @@ def build_knowledge_base(
 # -- persistence -------------------------------------------------------------
 
 #: Version of the saved file layout; files of any other version are refused.
-KB_FORMAT = 5
+KB_FORMAT = 6
 
 #: The packed columns' ``array`` codes, with the width in bytes and the
 #: meaning of one item. Columns are little-endian on every host.
-_ITEMS = {"I": (4, "an unsigned 32-bit integer"), "d": (8, "a 64-bit float")}
+_ITEMS = {
+    "B": (1, "an unsigned 8-bit integer"),
+    "H": (2, "an unsigned 16-bit integer"),
+    "I": (4, "an unsigned 32-bit integer"),
+    "d": (8, "a 64-bit float"),
+}
 if any(array(code).itemsize != width for code, (width, _) in _ITEMS.items()):
-    raise ImportError("expsum needs 4-byte 'I' and 8-byte 'd' arrays")
+    raise ImportError("expsum needs 1-byte 'B', 2-byte 'H', 4-byte 'I' and 8-byte 'd' arrays")
+
+#: The codes an integer column may be stored in, narrowest first.
+_INTEGER_CODES = ("B", "H", "I")
 
 
-def _pack(code: str, values: list, what: str) -> str:
-    """``values`` as a little-endian ``code`` column, base64-encoded.
+def _pack(values, what: str, code: str = "I") -> str:
+    """``values`` as ``<code>:<base64>``, the base64 of their little-endian
+    ``code`` items. An ``I`` column is stored at the narrowest of
+    ``_INTEGER_CODES`` that holds its largest value.
 
-    Raises ``ValueError`` naming ``what`` for a value that does not fit."""
+    Raises ``ValueError`` naming ``what`` for a value that does not fit
+    ``code``."""
     try:
         column = array(code, values)
     except (OverflowError, TypeError) as e:
         raise ValueError(
             f"cannot save the knowledge base: {what} is not {_ITEMS[code][1]} ({e})"
         ) from None
+    if code == "I":
+        top = max(column, default=0)
+        code = next(c for c in _INTEGER_CODES if top < 256 ** _ITEMS[c][0])
+        if code != "I":
+            column = array(code, column)
     if sys.byteorder == "big":
         column.byteswap()
-    return base64.b64encode(column.tobytes()).decode("ascii")
+    return f"{code}:{base64.b64encode(column.tobytes()).decode('ascii')}"
 
 
 def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
-    """Render the knowledge base as format-5 JSON, which stores each datum
+    """Render the knowledge base as format-6 JSON, which stores each datum
     once.
 
     ``model`` holds the frequency keys once, sorted, as ``tokens``, with two
-    lists aligned with them: ``doc_frequency``, and ``vocabulary`` (each
+    columns aligned with them: ``doc_frequency``, and ``vocabulary`` (each
     token's index, or ``null`` for a token without one). ``docs`` holds one
     column per field over each distinct (path context, text, vector) in
     order of first use by an entry: ``path_contexts`` and ``texts``, each
     vector's entry count in ``sizes``, and all vectors' ascending
-    ``indices`` and their ``weights`` end to end; these three columns are
-    packed little-endian (unsigned 32-bit integers, 64-bit floats for the
-    weights) and base64-encoded. ``entries`` holds ``terms``, each distinct
-    term once in order of first use, one index into it per entry in
-    ``term_refs``, and the entries' docs as runs of consecutive entries of
-    one doc: the doc's position in ``run_docs`` and the run's length in
-    ``run_lengths``.
+    ``indices`` and their ``weights`` end to end. ``entries`` holds
+    ``terms``, each distinct term once in order of first use, one index
+    into it per entry in ``term_refs``, and the entries' docs as runs of
+    consecutive entries of one doc: the doc's position in ``run_docs`` and
+    the run's length in ``run_lengths``.
 
-    Raises ``ValueError`` for a packed value that does not fit and for a
-    vocabulary token without a document frequency.
+    The six integer columns (``doc_frequency``, ``sizes``, ``indices``,
+    ``term_refs``, ``run_docs``, ``run_lengths``) and ``weights`` are packed
+    as ``<code>:<base64>``: the base64 of the column's little-endian items
+    of ``array`` type ``code``. An integer column's code is the narrowest of
+    ``B``, ``H`` and ``I`` (unsigned 8, 16 and 32 bits) that holds its
+    largest value, ``B`` when it is empty; ``weights`` is ``d`` (64-bit
+    floats). ``vocabulary`` and the string columns are JSON lists.
+
+    Raises ``ValueError`` for an integer that does not fit an unsigned
+    32-bit integer, a weight that is not a 64-bit float, and a vocabulary
+    token without a document frequency.
     """
     missing = model.vocabulary.keys() - model.doc_frequency.keys()
     if missing:
@@ -410,7 +433,9 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
         "format": KB_FORMAT,
         "model": {
             "tokens": tokens,
-            "doc_frequency": [model.doc_frequency[t] for t in tokens],
+            "doc_frequency": _pack(
+                [model.doc_frequency[t] for t in tokens], "a document frequency"
+            ),
             "vocabulary": [model.vocabulary.get(t) for t in tokens],
             "doc_count": model.doc_count,
             "alpha": model.alpha,
@@ -418,55 +443,67 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
         "docs": {
             "path_contexts": contexts,
             "texts": texts,
-            "sizes": _pack("I", sizes, "a vector size"),
-            "indices": _pack("I", indices, "a vector index"),
-            "weights": _pack("d", weights, "a vector weight"),
+            "sizes": _pack(sizes, "a vector size"),
+            "indices": _pack(indices, "a vector index"),
+            "weights": _pack(weights, "a vector weight", "d"),
         },
         "entries": {
             "terms": list(terms),
-            "term_refs": term_refs,
-            "run_docs": run_docs,
-            "run_lengths": run_lengths,
+            "term_refs": _pack(term_refs, "a term reference"),
+            "run_docs": _pack(run_docs, "a run doc"),
+            "run_lengths": _pack(run_lengths, "a run length"),
         },
     }
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return text + "\n"
 
 
-def _column(docs: JsonObject, key: str, code: str) -> array:
-    """Decode the base64 column ``docs[key]`` of little-endian ``code`` items."""
+def _column(section: JsonObject, key: str, codes=_INTEGER_CODES, positive=False) -> array:
+    """Decode the packed column ``section[key]`` (see :func:`kb_to_json`),
+    whose type code must be one of ``codes``; a ``positive`` column holds no
+    0."""
+    name = " ".join(map(repr, (*section.path, key)))
+    code, _, text = section.get(key, "a string").rpartition(":")
+    if code not in codes:
+        raise MalformedKnowledgeBase(
+            f"{name} has type code {code!r}, not one of {', '.join(codes)}"
+        )
     try:
-        data = base64.b64decode(docs.get(key, "a string"), validate=True)
+        data = base64.b64decode(text, validate=True)
     except ValueError as e:  # binascii.Error, or a non-ASCII character
-        raise MalformedKnowledgeBase(f"'docs' {key!r} is not valid base64 ({e})") from None
-    del docs.obj[key]  # frees the base64 text, which the caller's payload would keep
+        raise MalformedKnowledgeBase(f"{name} is not valid base64 ({e})") from None
+    # frees the base64 text: the payload's, which the caller keeps, and its copy here
+    del section.obj[key], text
     width = _ITEMS[code][0]
     if len(data) % width:
         raise MalformedKnowledgeBase(
-            f"'docs' {key!r} holds {len(data)} bytes, not whole {width}-byte items"
+            f"{name} holds {len(data)} bytes, not whole {width}-byte items"
         )
     column = array(code, data)
     if sys.byteorder == "big":
         column.byteswap()
+    if positive and 0 in column:
+        raise fault(section.where, (*section.path, key, column.index(0)), "at least 1", 0,
+                    section.error)
     return column
 
 
-def _positions(values: list, bound: int, where: str, what: str) -> None:
-    """Check that the integers ``values`` are in ``range(bound)``."""
-    if values and not 0 <= min(values) <= max(values) < bound:
-        bad = next(v for v in values if not 0 <= v < bound)
+def _positions(values: array, bound: int, where: str, what: str) -> None:
+    """Check that the unsigned integers ``values`` are below ``bound``."""
+    if values and max(values) >= bound:
+        bad = next(v for v in values if v >= bound)
         raise MalformedKnowledgeBase(f"{where} holds {bad}, not one of the {bound} {what}")
 
 
 def kb_from_json(
     text: str, source: str = "knowledge base"
 ) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    """Parse format-5 JSON (see :func:`kb_to_json`); the entries of one doc
+    """Parse format-6 JSON (see :func:`kb_to_json`); the entries of one doc
     share its text and vector object, and the entries of one term share
     its string.
 
     Raises :class:`MalformedKnowledgeBase`, naming ``source``, for text that
-    is not a well-formed format-5 knowledge base, files of an older format
+    is not a well-formed format-6 knowledge base, files of an older format
     included, and for a model whose values ``idf`` cannot use: ``doc_count``
     or a frequency below 1, or a negative or non-finite ``alpha``.
     """
@@ -488,17 +525,17 @@ def _kb_from_payload(payload: JsonObject) -> tuple[TfIdfModel, list[KnowledgeEnt
         )
     m, raw_docs, raw_entries = map(payload.object, ("model", "docs", "entries"))
     tokens = m.get("tokens", "a list", items="a string")
-    frequencies = m.get("doc_frequency", "a list", items="an integer", least=1)
+    frequencies = _column(m, "doc_frequency", positive=True)
     vocabulary = m.get("vocabulary", "a list", items="an integer or null")
     contexts = raw_docs.get("path_contexts", "a list", items="a string")
     texts = raw_docs.get("texts", "a list", items="a string")
-    sizes = _column(raw_docs, "sizes", "I")
-    indices = _column(raw_docs, "indices", "I")
-    weights = _column(raw_docs, "weights", "d")
+    sizes = _column(raw_docs, "sizes")
+    indices = _column(raw_docs, "indices")
+    weights = _column(raw_docs, "weights", ("d",))
     terms = raw_entries.get("terms", "a list", items="a string")
-    term_refs = raw_entries.get("term_refs", "a list", items="an integer")
-    run_docs = raw_entries.get("run_docs", "a list", items="an integer")
-    run_lengths = raw_entries.get("run_lengths", "a list", items="an integer", least=1)
+    term_refs = _column(raw_entries, "term_refs")
+    run_docs = _column(raw_entries, "run_docs")
+    run_lengths = _column(raw_entries, "run_lengths", positive=True)
     if not len(tokens) == len(frequencies) == len(vocabulary):
         raise MalformedKnowledgeBase(
             f"'model' has {len(tokens)} tokens, {len(frequencies)} frequencies "

@@ -72,7 +72,7 @@ class Pipeline:
         """
         record_id = record["id"]
         try:
-            function = FunctionRecord.from_dict(record["function"])
+            function = FunctionRecord.from_dict(record.get("function"))
             checked = check_metadata(model_function(function, self.cfg.dmt_config()), self.dictionary)
             hits = retrieve(query_from_metadata(checked.retained), self.kb, self.cfg.retrieval)
             result = summarize(checked.retained, hits, self.client, self.summarizer)

@@ -81,6 +81,21 @@ V4_KB = json.dumps(
 )
 
 
+# A knowledge base in the retired format 5, which stored the model's
+# frequencies and the entries' integer columns as JSON number lists and the
+# docs' integer columns as unsigned 32-bit integers.
+V5_KB = json.dumps(
+    {
+        "format": 5,
+        "model": {"tokens": ["media"], "doc_frequency": [1], "vocabulary": [0],
+                  "doc_count": 1, "alpha": 0.01},
+        "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": "AQAAAA==",
+                 "indices": "AAAAAA==", "weights": "OPjCZKpghL8="},
+        "entries": {"terms": ["MediaKit"], "term_refs": [0], "run_docs": [0], "run_lengths": [1]},
+    }
+)
+
+
 @pytest.fixture
 def fixture_paths(tmp_path):
     return write_fixture(tmp_path / "e2e")
@@ -259,17 +274,18 @@ class TestRetrieveCommand:
         kb_path.write_text(
             json.dumps(
                 {
-                    "format": 5,
+                    "format": 6,
                     "model": {
                         "tokens": [],
-                        "doc_frequency": [],
+                        "doc_frequency": "B:",
                         "vocabulary": [],
                         "doc_count": 1,
                         "alpha": 0.01,
                     },
-                    "docs": {"path_contexts": [], "texts": [], "sizes": "",
-                             "indices": "", "weights": ""},
-                    "entries": {"terms": [], "term_refs": [], "run_docs": [], "run_lengths": []},
+                    "docs": {"path_contexts": [], "texts": [], "sizes": "B:",
+                             "indices": "B:", "weights": "d:"},
+                    "entries": {"terms": [], "term_refs": "B:", "run_docs": "B:",
+                                "run_lengths": "B:"},
                 }
             ),
             encoding="utf-8",
@@ -327,14 +343,15 @@ class TestBadKnowledgeBase:
         [
             ("{}", "no format field"),
             (V1_KB, "rebuild it with `expsum kb-build`"),
-            (V2_KB, "format 2, expected format 5; rebuild it with `expsum kb-build`"),
-            (V3_KB, "format 3, expected format 5; rebuild it with `expsum kb-build`"),
-            (V4_KB, "format 4, expected format 5; rebuild it with `expsum kb-build`"),
+            (V2_KB, "format 2, expected format 6; rebuild it with `expsum kb-build`"),
+            (V3_KB, "format 3, expected format 6; rebuild it with `expsum kb-build`"),
+            (V4_KB, "format 4, expected format 6; rebuild it with `expsum kb-build`"),
+            (V5_KB, "format 5, expected format 6; rebuild it with `expsum kb-build`"),
             ("[" * 100_000, "is not valid JSON (maximum recursion depth exceeded"),
             ('{"format": ' + "9" * 5000 + "}", "is not valid JSON (Exceeds the limit (4300 digits)"),
         ],
-        ids=["empty-object", "format-1", "format-2", "format-3", "format-4", "too-deep",
-             "huge-int"],
+        ids=["empty-object", "format-1", "format-2", "format-3", "format-4", "format-5",
+             "too-deep", "huge-int"],
     )
     def test_one_error_line_and_exit_1(
         self, fixture_paths, capsys, command, content, expected

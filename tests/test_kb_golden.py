@@ -48,12 +48,13 @@ SEEDED_CONTENT_DIGEST = "d1367cef319a2edfa13d921cf863fa530542767e026f1c53e5f3de8
 # over the seeded KB, recorded with KB format 5.
 SEEDED_RETRIEVAL_DIGEST = "0324df4770822316bc9c63fe2c965a88793f1c8bffa1d1cc03fa1e4ab429e256"
 
-# sha256 of the file ``expsum kb-build`` writes for the e2e fixture's docs.
-E2E_KB_BUILD_DIGEST = "10a5b680f74a2f8fb1d4f36c846a670ce98f162596ccdf3cfd7e6a067173602b"
+# sha256 of the file ``expsum kb-build`` writes for the e2e fixture's docs,
+# recorded with KB format 6.
+E2E_KB_BUILD_DIGEST = "2552d71c37e1785460acfe7e25512406ef52e0488aaa28d44010479b3312eecb"
 
-# kb_to_json bytes per byte of doc text on the seeded KB: the format-5 value
-# (1.8060; format 4 wrote 2.2138) plus 1%.
-SEEDED_BYTES_PER_DOC_BYTE_BOUND = 1.8241
+# kb_to_json bytes per byte of doc text on the seeded KB: the format-6 value
+# (1.6229; format 5 wrote 1.8060, format 4 2.2138) plus 1%.
+SEEDED_BYTES_PER_DOC_BYTE_BOUND = 1.6391
 
 
 @functools.cache

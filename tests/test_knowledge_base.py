@@ -7,7 +7,7 @@ import struct
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expsum.errors import ClientFailure, EmptyCorpus, MalformedKnowledgeBase
@@ -325,23 +325,43 @@ class TestBuildKnowledgeBase:
         assert entries2 == entries
 
 
-def u32s(column):
-    """Decode a packed unsigned 32-bit column byte by byte."""
-    data = base64.b64decode(column)
-    return [int.from_bytes(data[i:i + 4], "little") for i in range(0, len(data), 4)]
+#: The width in bytes of each type code an integer column may have.
+WIDTHS = {"B": 1, "H": 2, "I": 4}
+
+#: The (section, key) of every integer column.
+INTEGER_COLUMNS = [
+    ("model", "doc_frequency"), ("docs", "sizes"), ("docs", "indices"),
+    ("entries", "term_refs"), ("entries", "run_docs"), ("entries", "run_lengths"),
+]
+
+
+def ints(column):
+    """Decode a packed unsigned integer column byte by byte."""
+    code, _, text = column.partition(":")
+    data, width = base64.b64decode(text), WIDTHS[code]
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
 
 
 def f64s(column):
-    data = base64.b64decode(column)
+    code, _, text = column.partition(":")
+    assert code == "d"
+    data = base64.b64decode(text)
     return list(struct.unpack(f"<{len(data) // 8}d", data))
 
 
-def packed(code, values):
+def bare(code, values):
+    """``values`` as little-endian ``code`` items, base64-encoded: a column
+    of the retired formats, which stored no type code."""
     return base64.b64encode(struct.pack(f"<{len(values)}{code}", *values)).decode("ascii")
 
 
+def packed(code, values):
+    """``values`` as a format-6 column of ``code`` items."""
+    return f"{code}:{bare(code, values)}"
+
+
 class TestFormat4:
-    """The saved file's layout, format 5 since format 4 was retired; the
+    """The saved file's layout, format 6 since format 5 was retired; the
     class keeps its name so its test ids stay stable."""
 
     def build(self, docs):
@@ -354,7 +374,7 @@ class TestFormat4:
         save_knowledge_base(path, model, entries)
         text = path.read_text(encoding="utf-8")
         payload = json.loads(text)
-        assert payload["format"] == KB_FORMAT == 5
+        assert payload["format"] == KB_FORMAT == 6
         distinct = {(d.path_context, d.text) for d in shared_context_docs}
         assert len(payload["docs"]["texts"]) == len(distinct) < len(shared_context_docs)
         for doc in shared_context_docs:
@@ -370,7 +390,8 @@ class TestFormat4:
         payload = json.loads(kb_to_json(model, entries[::-1]))
         assert payload["docs"]["path_contexts"] == ["ohos.data.rdb", "ohos.data.relationalStore"]
         assert payload["entries"] == {
-            "terms": ["RDBStore"], "term_refs": [0, 0], "run_docs": [0, 1], "run_lengths": [1, 1],
+            "terms": ["RDBStore"], "term_refs": packed("B", [0, 0]),
+            "run_docs": packed("B", [0, 1]), "run_lengths": packed("B", [1, 1]),
         }
 
     def test_term_table_in_order_of_first_use(self):
@@ -380,8 +401,8 @@ class TestFormat4:
         entries = [KnowledgeEntry(t, "text", "ctx", v) for t in terms]
         payload = json.loads(kb_to_json(model, entries))["entries"]
         assert payload["terms"] == ["Zeta", "Alpha", "Mid"]
-        assert payload["term_refs"] == [0, 1, 0, 2, 1, 1]
-        assert payload["run_docs"] == [0] and payload["run_lengths"] == [6]
+        assert ints(payload["term_refs"]) == [0, 1, 0, 2, 1, 1]
+        assert ints(payload["run_docs"]) == [0] and ints(payload["run_lengths"]) == [6]
 
     def test_runs_for_entries_in_any_order(self):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -389,8 +410,8 @@ class TestFormat4:
         entries = [a, a, b, a, c, c, c, b, a]
         text = kb_to_json(model, entries)
         payload = json.loads(text)["entries"]
-        assert payload["run_docs"] == [0, 1, 0, 2, 1, 0]
-        assert payload["run_lengths"] == [2, 1, 1, 3, 1, 1]
+        assert ints(payload["run_docs"]) == [0, 1, 0, 2, 1, 0]
+        assert ints(payload["run_lengths"]) == [2, 1, 1, 3, 1, 1]
         assert kb_from_json(text)[1] == entries
 
     def test_one_string_per_term_after_load(self, shared_context_docs):
@@ -407,7 +428,7 @@ class TestFormat4:
         tokens = sorted(three_doc_model.doc_frequency)
         assert payload == {
             "tokens": tokens,
-            "doc_frequency": [three_doc_model.doc_frequency[t] for t in tokens],
+            "doc_frequency": packed("B", [three_doc_model.doc_frequency[t] for t in tokens]),
             "vocabulary": [three_doc_model.vocabulary[t] for t in tokens],
             "doc_count": 3,
             "alpha": 0.01,
@@ -439,21 +460,21 @@ class TestFormat4:
         ]
         docs = json.loads(kb_to_json(model, entries))["docs"]
         assert docs["texts"] == ["text", "other", "empty"]
-        assert u32s(docs["sizes"]) == [3, 1, 0]
-        assert u32s(docs["indices"]) == [2, 4, 7, 1]
+        assert ints(docs["sizes"]) == [3, 1, 0]
+        assert ints(docs["indices"]) == [2, 4, 7, 1]
         assert f64s(docs["weights"]) == [0.25, -0.125, 0.5, 2.0]
 
     def test_numeric_columns_are_little_endian_base64(self):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
         v = SparseVector({1: 1.0, 256: -2.0})
         payload = json.loads(kb_to_json(model, [KnowledgeEntry("T", "text", "ctx", v)]))
-        # 01 00 00 00 | 00 01 00 00
-        assert payload["docs"]["indices"] == "AQAAAAABAAA="
+        # 256 needs 16 bits: 01 00 | 00 01
+        assert payload["docs"]["indices"] == "H:AQAAAQ=="
         # 1.0 = 00 .. f0 3f, -2.0 = 00 .. 00 c0
-        assert base64.b64decode(payload["docs"]["weights"]) == bytes.fromhex(
+        assert payload["docs"]["weights"] == "d:" + base64.b64encode(bytes.fromhex(
             "000000000000f03f" "00000000000000c0"
-        )
-        assert payload["docs"]["sizes"] == "AgAAAA=="
+        )).decode("ascii")
+        assert payload["docs"]["sizes"] == "B:Ag=="
 
     def test_big_endian_hosts_swap_bytes_both_ways(self, monkeypatch):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -462,10 +483,11 @@ class TestFormat4:
         monkeypatch.setattr(sys, "byteorder", "swapped" if sys.byteorder == "big" else "big")
         text = kb_to_json(model, entries)
         swapped = json.loads(text)["docs"]
-        for key, width in (("indices", 4), ("weights", 8)):
-            data = base64.b64decode(native[key])
+        for key, width in (("indices", 2), ("weights", 8)):
+            code, _, column = native[key].partition(":")
+            data = base64.b64decode(column)
             items = [data[i:i + width][::-1] for i in range(0, len(data), width)]
-            assert base64.b64decode(swapped[key]) == b"".join(items)
+            assert swapped[key] == f"{code}:{base64.b64encode(b''.join(items)).decode('ascii')}"
         assert kb_from_json(text)[1] == entries
 
     def test_weights_are_bit_exact(self):
@@ -520,7 +542,7 @@ class TestFormat4:
             KnowledgeEntry("V", "same text", "ctx.one", SparseVector({0: 0.5})),
         ]
         text = kb_to_json(model, entries)
-        assert json.loads(text)["entries"]["run_docs"] == [0, 1, 2, 3, 0]
+        assert ints(json.loads(text)["entries"]["run_docs"]) == [0, 1, 2, 3, 0]
         assert kb_from_json(text)[1] == entries
 
     def test_save_load_round_trip_and_rebuild_are_byte_identical(
@@ -540,13 +562,27 @@ MODEL = {"vocabulary": {"media": 0}, "doc_count": 2, "doc_frequency": {"media": 
 
 def valid_payload():
     return {
-        "format": 5,
-        "model": {"tokens": ["media"], "doc_frequency": [1], "vocabulary": [0],
+        "format": 6,
+        "model": {"tokens": ["media"], "doc_frequency": packed("B", [1]), "vocabulary": [0],
                   "doc_count": 2, "alpha": 0.01},
-        "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": packed("I", [1]),
-                 "indices": packed("I", [0]), "weights": packed("d", [0.69])},
-        "entries": {"terms": ["MediaKit"], "term_refs": [0], "run_docs": [0], "run_lengths": [1]},
+        "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": packed("B", [1]),
+                 "indices": packed("B", [0]), "weights": packed("d", [0.69])},
+        "entries": {"terms": ["MediaKit"], "term_refs": packed("B", [0]),
+                    "run_docs": packed("B", [0]), "run_lengths": packed("B", [1])},
     }
+
+
+# The same KB in the retired format 5, which stored the model's frequencies
+# and the entries' integer columns as JSON number lists and the docs'
+# integer columns as unsigned 32-bit integers.
+FORMAT_5 = {
+    "format": 5,
+    "model": {"tokens": ["media"], "doc_frequency": [1], "vocabulary": [0],
+              "doc_count": 2, "alpha": 0.01},
+    "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": bare("I", [1]),
+             "indices": bare("I", [0]), "weights": bare("d", [0.69])},
+    "entries": {"terms": ["MediaKit"], "term_refs": [0], "run_docs": [0], "run_lengths": [1]},
+}
 
 
 # The same KB in the retired format 4, which stored each entry's term and
@@ -554,8 +590,8 @@ def valid_payload():
 FORMAT_4 = {
     "format": 4,
     "model": MODEL,
-    "docs": valid_payload()["docs"],
-    "entries": {"terms": ["MediaKit"], "docs": packed("I", [0])},
+    "docs": FORMAT_5["docs"],
+    "entries": {"terms": ["MediaKit"], "docs": bare("I", [0])},
 }
 
 
@@ -601,12 +637,13 @@ class TestLoadErrors:
             ("{not json", "not valid JSON"),
             ("[]", "knowledge base must be an object (got [])"),
             ("{}", "no format field"),
-            (broken(set_in(("format",), 1)), "format 1, expected format 5"),
-            (broken(set_in(("format",), 2)), "format 2, expected format 5"),
-            (json.dumps(FORMAT_3), "format 3, expected format 5; rebuild it with `expsum kb-build`"),
-            (json.dumps(FORMAT_4), "format 4, expected format 5; rebuild it with `expsum kb-build`"),
+            (broken(set_in(("format",), 1)), "format 1, expected format 6"),
+            (broken(set_in(("format",), 2)), "format 2, expected format 6"),
+            (json.dumps(FORMAT_3), "format 3, expected format 6; rebuild it with `expsum kb-build`"),
+            (json.dumps(FORMAT_4), "format 4, expected format 6; rebuild it with `expsum kb-build`"),
+            (json.dumps(FORMAT_5), "format 5, expected format 6; rebuild it with `expsum kb-build`"),
             ("[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
-            ('{"format": 5, "model": ' + "9" * 5000 + "}",
+            ('{"format": 6, "model": ' + "9" * 5000 + "}",
              "not valid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
             (broken(lambda p: p.pop("docs")), "'docs' must be an object (got None)"),
             (broken(set_in(("docs",), FORMAT_3["docs"])),
@@ -629,12 +666,12 @@ class TestLoadErrors:
              "'model' 'doc_count' must be an integer (got True)"),
             (broken(set_in(("model", "doc_count"), 2.9)),
              "'model' 'doc_count' must be an integer (got 2.9)"),
-            (broken(set_in(("model", "doc_frequency", 0), 0)),
+            (broken(set_column("model", "doc_frequency", "B", [0])),
              "'model' 'doc_frequency' item 0 must be at least 1 (got 0)"),
-            (broken(set_in(("model", "doc_frequency", 0), True)),
-             "'model' 'doc_frequency' item 0 must be an integer (got True)"),
-            (broken(set_in(("model", "doc_frequency", 0), 1.0)),
-             "'model' 'doc_frequency' item 0 must be an integer (got 1.0)"),
+            (broken(set_in(("model", "doc_frequency"), [True])),
+             "'model' 'doc_frequency' must be a string (got [True])"),
+            (broken(set_column("model", "doc_frequency", "d", [1.0])),
+             "'model' 'doc_frequency' has type code 'd', not one of B, H, I"),
             (broken(set_in(("model", "alpha"), -0.5)),
              "'model' 'alpha' must be at least 0 (got -0.5)"),
             (broken(set_in(("model", "alpha"), float("inf"))),
@@ -647,12 +684,14 @@ class TestLoadErrors:
              "'model' has 1 tokens, 1 frequencies and 2 vocabulary indices"),
             (broken(lambda p: p["model"]["tokens"].append("zoom")),
              "'model' has 2 tokens, 1 frequencies and 1 vocabulary indices"),
-            (broken(lambda p: p["model"]["doc_frequency"].append(1)),
+            (broken(set_column("model", "doc_frequency", "B", [1, 1])),
              "'model' has 1 tokens, 2 frequencies and 1 vocabulary indices"),
-            (broken(lambda p: p["model"].update(tokens=["zoom", "media"], doc_frequency=[1, 1],
+            (broken(lambda p: p["model"].update(tokens=["zoom", "media"],
+                                                doc_frequency=packed("B", [1, 1]),
                                                 vocabulary=[None, 0])),
              "'model' 'tokens' are not in strictly ascending order"),
-            (broken(lambda p: p["model"].update(tokens=["media", "media"], doc_frequency=[1, 1],
+            (broken(lambda p: p["model"].update(tokens=["media", "media"],
+                                                doc_frequency=packed("B", [1, 1]),
                                                 vocabulary=[0, None])),
              "'model' 'tokens' are not in strictly ascending order"),
             (broken(set_in(("model", "tokens", 0), 7)),
@@ -674,62 +713,93 @@ class TestLoadErrors:
              "'docs' 'indices' must be a string (got True)"),
             (broken(set_in(("docs", "weights"), None)),
              "'docs' 'weights' must be a string (got None)"),
-            (broken(set_in(("docs", "weights"), "x!")), "'docs' 'weights' is not valid base64"),
-            (broken(set_in(("docs", "indices"), "AAAA*AAA")), "'indices' is not valid base64"),
-            (broken(set_in(("docs", "sizes"), "AQAAAA")), "'sizes' is not valid base64"),
-            (broken(set_in(("docs", "sizes"), "AQAAAé==")), "'sizes' is not valid base64"),
-            (broken(set_in(("entries", "run_docs"), "0")),
-             "'entries' 'run_docs' must be a list (got '0')"),
-            (broken(set_in(("docs", "indices"), "AAAA")),
-             "'indices' holds 3 bytes, not whole 4-byte"),
-            (broken(set_in(("docs", "weights"), packed("I", [1, 2, 3]))),
-             "'weights' holds 12 bytes, not whole 8-byte items"),
+            (broken(set_in(("docs", "weights"), "d:x!")), "'docs' 'weights' is not valid base64"),
+            (broken(set_in(("docs", "indices"), "I:AAAA*AAA")),
+             "'docs' 'indices' is not valid base64"),
+            (broken(set_in(("docs", "sizes"), "I:AQAAAA")), "'docs' 'sizes' is not valid base64"),
+            (broken(set_in(("docs", "sizes"), "I:AQAAAé==")), "'docs' 'sizes' is not valid base64"),
+            (broken(set_in(("entries", "run_docs"), [0])),
+             "'entries' 'run_docs' must be a string (got [0])"),
+            (broken(set_in(("docs", "indices"), "I:AAAA")),
+             "'docs' 'indices' holds 3 bytes, not whole 4-byte items"),
+            (broken(set_in(("docs", "weights"), "d:" + bare("I", [1, 2, 3]))),
+             "'docs' 'weights' holds 12 bytes, not whole 8-byte items"),
             (broken(set_column("docs", "sizes", "I", [2])),
              "'sizes' add up to 2 but there are 1 indices"),
             (broken(set_column("docs", "sizes", "I", [0])),
              "'sizes' add up to 0 but there are 1 indices"),
             (broken(set_column("docs", "weights", "d", [])), "1 indices but 0 weights"),
-            (broken(lambda p: p["docs"].update(sizes=packed("I", [2]), indices=packed("I", [0, 0]),
+            (broken(lambda p: p["docs"].update(sizes=packed("B", [2]), indices=packed("H", [0, 0]),
                                                weights=packed("d", [1.0, 2.0]))),
              "'indices' repeats an index in doc 0"),
             (broken(set_in(("entries",), [{"term": "MediaKit", "doc": 0}])),
              "'entries' must be an object (got [{'term': 'MediaKit', 'doc': 0}])"),
             (broken(lambda p: p["entries"].pop("terms")),
              "'entries' 'terms' must be a list (got None)"),
-            (broken(set_in(("entries", "run_docs", 0), [0])),
-             "'entries' 'run_docs' item 0 must be an integer (got [0])"),
-            (broken(lambda p: p["entries"]["term_refs"].append(0)),
+            (broken(set_in(("entries", "run_docs"), [[0]])),
+             "'entries' 'run_docs' must be a string (got [[0]])"),
+            (broken(set_column("entries", "term_refs", "B", [0, 0])),
              "'entries' 'run_lengths' add up to 1 but there are 2 term references"),
             (broken(set_in(("entries", "terms", 0), 7)),
              "'entries' 'terms' item 0 must be a string (got 7)"),
-            (broken(set_in(("entries", "run_docs", 0), 1)),
+            (broken(set_column("entries", "run_docs", "B", [1])),
              "'entries' 'run_docs' holds 1, not one of the 1 docs"),
-            (broken(set_in(("entries", "run_docs", 0), 2**32 - 1)), "holds 4294967295, not one of"),
-            (broken(set_in(("entries", "term_refs", 0), 1)),
+            (broken(set_column("entries", "run_docs", "I", [2**32 - 1])),
+             "'entries' 'run_docs' holds 4294967295, not one of the 1 docs"),
+            (broken(set_column("entries", "term_refs", "B", [1])),
              "'entries' 'term_refs' holds 1, not one of the 1 terms"),
-            (broken(set_in(("entries", "term_refs", 0), -1)), "'term_refs' holds -1, not one of"),
-            (broken(set_in(("entries", "term_refs", 0), False)),
-             "'entries' 'term_refs' item 0 must be an integer (got False)"),
+            (broken(set_column("entries", "term_refs", "b", [-1])),
+             "'entries' 'term_refs' has type code 'b', not one of B, H, I"),
+            (broken(set_in(("entries", "term_refs"), [False])),
+             "'entries' 'term_refs' must be a string (got [False])"),
             (broken(set_in(("entries", "term_refs"), "AAAAAA==")),
-             "'entries' 'term_refs' must be a list (got 'AAAAAA==')"),
+             "'entries' 'term_refs' has type code '', not one of B, H, I"),
             (broken(lambda p: p["entries"].pop("run_lengths")),
-             "'entries' 'run_lengths' must be a list (got None)"),
-            (broken(lambda p: p["entries"]["run_docs"].append(0)), "2 run docs but 1 run lengths"),
-            (broken(set_in(("entries", "run_lengths", 0), 2)),
+             "'entries' 'run_lengths' must be a string (got None)"),
+            (broken(set_column("entries", "run_docs", "B", [0, 0])),
+             "2 run docs but 1 run lengths"),
+            (broken(set_column("entries", "run_lengths", "B", [2])),
              "'run_lengths' add up to 2 but there are 1 term references"),
-            (broken(lambda p: p["entries"].update(run_docs=[0, 0], run_lengths=[2, -1])),
-             "'entries' 'run_lengths' item 1 must be at least 1 (got -1)"),
-            (broken(set_in(("entries", "run_lengths", 0), 0)),
+            (broken(lambda p: p["entries"].update(run_docs=packed("B", [0, 0]),
+                                                  run_lengths=packed("h", [2, -1]))),
+             "'entries' 'run_lengths' has type code 'h', not one of B, H, I"),
+            (broken(set_column("entries", "run_lengths", "B", [0])),
              "'entries' 'run_lengths' item 0 must be at least 1 (got 0)"),
-            (broken(set_in(("entries", "run_lengths", 0), True)),
-             "'entries' 'run_lengths' item 0 must be an integer (got True)"),
-            (broken(set_in(("entries", "run_lengths", 0), 1.0)),
-             "'entries' 'run_lengths' item 0 must be an integer (got 1.0)"),
-            (broken(lambda p: p["entries"].update(term_refs=[], run_docs=[0], run_lengths=[])),
+            (broken(set_in(("entries", "run_lengths"), [True])),
+             "'entries' 'run_lengths' must be a string (got [True])"),
+            (broken(set_column("entries", "run_lengths", "d", [1.0])),
+             "'entries' 'run_lengths' has type code 'd', not one of B, H, I"),
+            (broken(lambda p: p["entries"].update(term_refs=packed("B", []),
+                                                  run_docs=packed("B", [0]),
+                                                  run_lengths=packed("B", []))),
              "1 run docs but 0 run lengths"),
+            (broken(set_in(("docs", "sizes"), "q:" + bare("q", [1]))),
+             "'docs' 'sizes' has type code 'q', not one of B, H, I"),
+            (broken(set_in(("docs", "indices"), "HI:AAAA")),
+             "'docs' 'indices' has type code 'HI', not one of B, H, I"),
+            (broken(set_column("docs", "weights", "I", [1, 2])),
+             "'docs' 'weights' has type code 'I', not one of d"),
+            (broken(set_in(("entries", "term_refs"), "H:AAAA")),
+             "'entries' 'term_refs' holds 3 bytes, not whole 2-byte items"),
+            (broken(set_in(("model", "doc_frequency"), "I:AQAAAAEA")),
+             "'model' 'doc_frequency' holds 6 bytes, not whole 4-byte items"),
+            (broken(set_in(("entries", "run_lengths"), "H:AQ==")),
+             "'entries' 'run_lengths' holds 1 bytes, not whole 2-byte items"),
+            (broken(set_column("entries", "term_refs", "H", [256])),
+             "'entries' 'term_refs' holds 256, not one of the 1 terms"),
+            (broken(set_column("entries", "run_docs", "H", [65_535])),
+             "'entries' 'run_docs' holds 65535, not one of the 1 docs"),
+            (broken(lambda p: p["model"].update(tokens=["audio", "media"],
+                                                doc_frequency=packed("H", [1, 0]),
+                                                vocabulary=[None, 0])),
+             "'model' 'doc_frequency' item 1 must be at least 1 (got 0)"),
+            (broken(lambda p: p["entries"].update(run_docs=packed("B", [0, 0]),
+                                                  run_lengths=packed("I", [1, 0]))),
+             "'entries' 'run_lengths' item 1 must be at least 1 (got 0)"),
         ],
         ids=[
             "not-json", "array", "empty-object", "format-1", "format-2", "format-3", "format-4",
+            "format-5",
             "too-deep", "huge-int", "no-docs", "docs-list", "model-list", "model-format-4",
             "no-alpha", "vocabulary-value", "vocabulary-bool", "doc-count-huge", "doc-count-0",
             "doc-count-str", "doc-count-bool", "doc-count-float",
@@ -746,6 +816,10 @@ class TestLoadErrors:
             "term-ref-past-table", "term-ref-negative", "term-ref-bool", "term-refs-packed",
             "no-run-lengths", "extra-run-doc", "run-lengths-too-big", "run-length-negative",
             "run-length-0", "run-length-bool", "run-length-float", "missing-run-length",
+            "sizes-unknown-code", "indices-two-codes", "weights-integer-code",
+            "term-refs-partial-item", "frequency-partial-item", "run-lengths-partial-item",
+            "term-ref-past-table-u16", "run-doc-past-end-u16", "frequency-0-later",
+            "run-length-0-later",
         ],
     )
     def test_malformed_text_raises_typed_error(self, text, expected):
@@ -810,6 +884,40 @@ def knowledge_bases(draw):
     return model, entries
 
 
+#: Values at either side of each integer width boundary.
+COUNT_TOPS = [0, 255, 256, 65_535, 65_536]
+#: The same, and the largest unsigned 32-bit integer, for columns whose
+#: values are not counts of things held in memory.
+VALUE_TOPS = [*COUNT_TOPS, 2**32 - 1]
+
+
+@st.composite
+def width_boundary_kbs(draw):
+    """A KB whose integer columns each top out at a drawn value next to a
+    width boundary, with that top per column. Doc 0 has the longest run of
+    entries and the one non-empty vector, each further doc is one run, and
+    each entry up to the top term reference has a term of its own."""
+    top = lambda tops: draw(st.sampled_from(tops))
+    run_doc, run_length = top(COUNT_TOPS), top(COUNT_TOPS[1:])
+    term_ref = top([t for t in COUNT_TOPS if run_doc or t < run_length])
+    refs = [0] * run_length + list(range(1, run_doc + 1))
+    refs += [n % 2 for n in range(term_ref + 1 - len(refs))]  # runs of one entry
+    # saving and comparing touch doc 0's vector once per entry: bound that work
+    size = top([s for s in COUNT_TOPS if s * refs.count(0) <= 2**17])
+    index = top([i for i in VALUE_TOPS if i + 1 >= size])
+    frequency = top(VALUE_TOPS[1:])
+    model = TfIdfModel({"a": draw(st.integers(0, 2**40))}, 1, {"a": frequency, "b": 1})
+    docs = [("d0", SparseVector({index - k: 0.5 for k in range(size)}))]
+    docs += [(f"d{k}", SparseVector()) for k in range(1, run_doc + 1)]
+    entries = [
+        KnowledgeEntry(f"t{min(n, term_ref)}", docs[d][0], "ctx", docs[d][1])
+        for n, d in enumerate(refs)
+    ]
+    tops = {"doc_frequency": frequency, "sizes": size, "indices": index if size else None,
+            "term_refs": term_ref, "run_docs": run_doc, "run_lengths": run_length}
+    return model, entries, tops
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
     | st.sampled_from([2, 3, -1, 10**6, "0", 0.5]),
@@ -856,6 +964,23 @@ class TestFileProperties:
         assert loaded_model == model
         assert loaded == entries
         assert len({id(e.term) for e in loaded}) == len({e.term for e in loaded})
+
+    @settings(max_examples=15, deadline=None)
+    @given(width_boundary_kbs())
+    @example((TfIdfModel({}, 1, {}), [], {}))
+    def test_integer_columns_at_width_boundaries_round_trip(self, kb):
+        model, entries, tops = kb
+        text = kb_to_json(model, entries)
+        loaded_model, loaded = kb_from_json(text)
+        assert loaded_model == model
+        assert loaded == entries
+        assert kb_to_json(loaded_model, loaded) == text
+        payload = json.loads(text)
+        for section, key in INTEGER_COLUMNS:
+            values = ints(payload[section][key])
+            assert max(values, default=None) == tops.get(key)
+            narrowest = next(c for c, w in WIDTHS.items() if max(values, default=0) < 1 << 8 * w)
+            assert payload[section][key].startswith(narrowest + ":")
 
     @settings(max_examples=200, deadline=None)
     @given(knowledge_bases(), st.data())

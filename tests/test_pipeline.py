@@ -40,8 +40,9 @@ def test_run_returns_the_line_summarize_writes(tmp_path, capsys, workers):
     assert out.read_text(encoding="utf-8") == "".join(
         json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n" for line in lines
     )
-    assert [line.get("error") for line in lines[-3:]] == ["KeyError", "ParseFailure", "ValueError"]
+    assert [line.get("error") for line in lines[-3:]] == ["ValueError", "ParseFailure", "ValueError"]
     warnings = capsys.readouterr().err
+    assert "record 'no-function' failed: ValueError: 'function' must be an object (got None)" in warnings
     assert warnings.count("warning: ") == 3
     assert sorted(cli_err.splitlines()[:-1]) == sorted(warnings.splitlines())
 
