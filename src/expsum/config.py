@@ -114,7 +114,7 @@ def load_pipeline_config(
             ),
         )
     except ValueError as e:
-        raise ConfigError(f"{where}: invalid retrieval settings: {e}") from e
+        raise ConfigError(f"{where}: 'retrieval' {e}") from e
     llm_settings = LlmSettings(
         backend=resolve_setting(
             cli.get("backend"), None, llm.get("backend", "a string or null"), "mock"

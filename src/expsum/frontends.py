@@ -46,6 +46,21 @@ _IO_VERBS = ("read", "write", "open", "close", "print")
 _ANNOTATION_RE = re.compile(r"^\s*(@[A-Za-z][\w.]*)\b\s*(.*)$")
 
 
+def _brackets(opens: str, closes: str) -> dict[str, int]:
+    """A bracket set: the depth step of each opener (+1) and closer (-1)
+    token. ``brackets.get(text, 0)`` is the step of any token."""
+    return {**dict.fromkeys(opens, 1), **dict.fromkeys(closes, -1)}
+
+
+# One bracket set per kind of group scanned.
+_GROUP = _brackets("([{", ")]}")
+_TYPE = _brackets("([{<", ")]}>")  # parameter type annotations
+_RETURN = _brackets("([<", ")]>")  # return types: a `{` starts the body
+_BRACE = _brackets("{", "}")
+_ANGLE = _brackets("<", ">")
+_RETURN_STOPS = ("{", ";", "=>")
+
+
 @dataclass
 class Token:
     kind: str
@@ -117,6 +132,31 @@ def harvest_annotations(tokens: list[Token]) -> dict[str, str]:
 
 def _strip_quotes(text: str) -> str:
     return text[1:-1] if len(text) >= 2 else text
+
+
+def _closer(tokens: list[Token], start: int, brackets: dict[str, int] = _GROUP) -> int | None:
+    """Index of the first closer from ``start`` that brings the depth back
+    to 0, which ends the group opened at ``start``; None if there is none."""
+    depth = 0
+    for j in range(start, len(tokens)):
+        step = brackets.get(tokens[j].text, 0)
+        depth += step
+        if depth == 0 and step < 0:
+            return j
+    return None
+
+
+def _stop(tokens: list[Token], start: int, stops, brackets: dict[str, int] = _GROUP) -> int:
+    """Index of the first token in ``stops`` outside brackets, from
+    ``start``; ``len(tokens)`` if there is none. A closer may take the
+    depth below 0, where nothing stops until openers bring it back."""
+    depth = 0
+    for j in range(start, len(tokens)):
+        text = tokens[j].text
+        if depth == 0 and text in stops:
+            return j
+        depth += brackets.get(text, 0)
+    return len(tokens)
 
 
 class TypeScriptLikeFrontend:
@@ -194,96 +234,65 @@ class TypeScriptLikeFrontend:
     def _parse_function(
         self, code: list[Token], source: str
     ) -> tuple[str, list[ParameterField], str | None, list[Token]]:
-        idx = None
-        for i, t in enumerate(code):
-            if (
-                t.kind == "ident"
-                and t.text == "function"
-                and i + 1 < len(code)
-                and code[i + 1].kind == "ident"
-            ):
-                idx = i
-                break
-        if idx is not None:
-            name = code[idx + 1].text
-            open_paren = idx + 2
-            if open_paren >= len(code) or code[open_paren].text != "(":
-                raise ParseFailure(f"malformed parameter list for {name!r}")
-            params, close = self._parse_params(code, open_paren, source)
-            return_type, body_start = self._parse_return_type(code, close + 1, source)
-            body = self._parse_body(code, body_start)
-            return name, params, return_type, body
-
+        for i, t in enumerate(code[:-1]):
+            if t.kind == "ident" and t.text == "function" and code[i + 1].kind == "ident":
+                name, open_paren = code[i + 1].text, i + 2
+                if open_paren >= len(code) or code[open_paren].text != "(":
+                    raise ParseFailure(f"malformed parameter list for {name!r}")
+                close = _closer(code, open_paren)
+                if close is None:
+                    raise ParseFailure("unbalanced parameter list")
+                params = self._parse_params(code, open_paren, close, source)
+                return_type, body_start = self._parse_return_type(code, close + 1, source)
+                return name, params, return_type, self._parse_body(code, body_start)
         arrow = self._parse_arrow_function(code, source)
-        if arrow is not None:
-            return arrow
-        raise ParseFailure("no function declaration found")
+        if arrow is None:
+            raise ParseFailure("no function declaration found")
+        return arrow
 
     def _parse_arrow_function(self, code, source):
-        # const name = (params): ret => { ... }
+        # const name = (params): ret => body, where `=>` follows the group
         for i, t in enumerate(code):
-            if t.kind == "ident" and t.text in ("const", "let", "var"):
-                if (
-                    i + 2 < len(code)
-                    and code[i + 1].kind == "ident"
-                    and code[i + 2].text == "="
-                    and i + 3 < len(code)
-                    and code[i + 3].text == "("
-                ):
-                    rest = code[i + 4 :]
-                    if not any(tok.text == "=>" for tok in rest[:80]):
-                        continue
-                    name = code[i + 1].text
-                    params, close = self._parse_params(code, i + 3, source)
-                    return_type, arrow_at = self._parse_return_type(
-                        code, close + 1, source, stop_at_arrow=True
-                    )
-                    if arrow_at >= len(code) or code[arrow_at].text != "=>":
-                        continue
-                    after = arrow_at + 1
-                    if after < len(code) and code[after].text == "{":
-                        body = self._parse_body(code, after)
-                    else:
-                        body = self._expression_tokens(code, after)
-                    return name, params, return_type, body
+            if not (
+                t.kind == "ident"
+                and t.text in ("const", "let", "var")
+                and i + 3 < len(code)
+                and code[i + 1].kind == "ident"
+                and code[i + 2].text == "="
+                and code[i + 3].text == "("
+            ):
+                continue
+            close = _closer(code, i + 3)
+            if close is None:
+                continue
+            return_type, arrow_at = self._parse_return_type(
+                code, close + 1, source, stop_at_arrow=True
+            )
+            if arrow_at >= len(code) or code[arrow_at].text != "=>":
+                continue
+            params = self._parse_params(code, i + 3, close, source)
+            after = arrow_at + 1
+            if after < len(code) and code[after].text == "{":
+                body = self._parse_body(code, after)
+            else:  # an expression ends at `;` or at an unmatched closer
+                body = code[after : _stop(code, after, (";", ")", "]", "}"))]
+            return code[i + 1].text, params, return_type, body
         return None
 
     def _parse_params(
-        self, code: list[Token], open_paren: int, source: str
-    ) -> tuple[list[ParameterField], int]:
-        depth = 0
-        close = None
-        for j in range(open_paren, len(code)):
-            text = code[j].text
-            if text in "([{":
-                depth += 1
-            elif text in ")]}":
-                depth -= 1
-                if depth == 0:
-                    close = j
-                    break
-        if close is None:
-            raise ParseFailure("unbalanced parameter list")
-
+        self, code: list[Token], open_paren: int, close: int, source: str
+    ) -> list[ParameterField]:
+        # split on commas outside brackets and outside `<...>` type arguments
         groups: list[list[Token]] = [[]]
-        depth = 0
-        angle = 0
+        depth = angle = 0
         for tok in code[open_paren + 1 : close]:
-            if tok.text in "([{":
-                depth += 1
-            elif tok.text in ")]}":
-                depth -= 1
-            elif tok.text == "<":
-                angle += 1
-            elif tok.text == ">" and angle > 0:
-                angle -= 1
-            if tok.text == "," and depth == 0 and angle == 0:
+            if tok.text == "," and depth == angle == 0:
                 groups.append([])
-            else:
-                groups[-1].append(tok)
-
-        params = [self._parse_param(g, source) for g in groups if g]
-        return params, close
+                continue
+            depth += _GROUP.get(tok.text, 0)
+            angle = max(angle + _ANGLE.get(tok.text, 0), 0)
+            groups[-1].append(tok)
+        return [self._parse_param(g, source) for g in groups if g]
 
     def _parse_param(self, group: list[Token], source: str) -> ParameterField:
         i = 0
@@ -295,41 +304,20 @@ class TypeScriptLikeFrontend:
             i += 1
         else:
             # destructuring pattern: skip to its end; name stays empty
-            depth = 0
-            while i < len(group):
-                if group[i].text in "([{":
-                    depth += 1
-                elif group[i].text in ")]}":
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                i += 1
+            end = _closer(group, i)
+            i = len(group) if end is None else end + 1
         optional = i < len(group) and group[i].text == "?"
         if optional:
             i += 1
         type_annotation = None
         default_value = None
         if i < len(group) and group[i].text == ":":
-            i += 1
-            start = i
-            depth = 0
-            while i < len(group):
-                text = group[i].text
-                if text in "([{<":
-                    depth += 1
-                elif text in ")]}>":
-                    depth -= 1
-                elif text == "=" and depth == 0:
-                    break
-                i += 1
+            start = i + 1
+            i = _stop(group, start, ("=",), _TYPE)
             if i > start:
                 type_annotation = source[group[start].pos : group[i - 1].end].strip()
-        if i < len(group) and group[i].text == "=":
-            i += 1
-            if i < len(group):
-                default_value = source[group[i].pos : group[-1].end].strip()
-                i = len(group)
+        if i + 1 < len(group) and group[i].text == "=":
+            default_value = source[group[i + 1].pos : group[-1].end].strip()
         if optional and type_annotation:
             type_annotation = "?" + type_annotation
         if not name and type_annotation is None:
@@ -341,18 +329,14 @@ class TypeScriptLikeFrontend:
     ) -> tuple[str | None, int]:
         i = start
         if i < len(code) and code[i].text == ":":
-            i += 1
-            type_start = i
-            depth = 0
-            while i < len(code):
-                text = code[i].text
-                if text in "([<":
-                    depth += 1
-                elif text in ")]>":
-                    depth -= 1
-                elif depth == 0 and (text == "{" or text == ";" or text == "=>"):
-                    break
-                i += 1
+            type_start = i + 1
+            i = _stop(code, type_start, _RETURN_STOPS, _RETURN)
+            # in a declaration, `=>` right after `)` continues a function type
+            while (
+                not stop_at_arrow and i < len(code)
+                and code[i].text == "=>" and code[i - 1].text == ")"
+            ):
+                i = _stop(code, i + 1, _RETURN_STOPS, _RETURN)
             if i > type_start:
                 annotation = source[code[type_start].pos : code[i - 1].end].strip()
                 return annotation or None, i
@@ -361,29 +345,10 @@ class TypeScriptLikeFrontend:
     def _parse_body(self, code: list[Token], start: int) -> list[Token]:
         if start >= len(code) or code[start].text != "{":
             return []  # declaration without a body
-        depth = 0
-        for j in range(start, len(code)):
-            if code[j].text == "{":
-                depth += 1
-            elif code[j].text == "}":
-                depth -= 1
-                if depth == 0:
-                    return code[start + 1 : j]
-        raise ParseFailure("unbalanced braces in function body")
-
-    def _expression_tokens(self, code: list[Token], start: int) -> list[Token]:
-        depth = 0
-        for j in range(start, len(code)):
-            text = code[j].text
-            if text in "([{":
-                depth += 1
-            elif text in ")]}":
-                if depth == 0:
-                    return code[start:j]
-                depth -= 1
-            elif text == ";" and depth == 0:
-                return code[start:j]
-        return code[start:]
+        close = _closer(code, start, _BRACE)
+        if close is None:
+            raise ParseFailure("unbalanced braces in function body")
+        return code[start + 1 : close]
 
     def _scan_constructs(self, body: list[Token]) -> str:
         labels: list[str] = []
@@ -439,10 +404,7 @@ class TypeScriptLikeFrontend:
         decl_depth = 0
         depth = 0
         for t in body:
-            if t.text in "([{":
-                depth += 1
-            elif t.text in ")]}":
-                depth -= 1
+            depth += _GROUP.get(t.text, 0)
             if t.kind == "ident" and t.text in ("let", "const", "var"):
                 collecting = True
                 in_initializer = False

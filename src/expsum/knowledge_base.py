@@ -404,8 +404,9 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
     sizes: list[int] = []
     indices: list[int] = []
     weights: list[float] = []
-    doc_index: dict[tuple, int] = {}
+    doc_index: dict[tuple, int] = {}  # (path context, text, id of items) -> doc
     sorted_items: dict[int, tuple] = {}  # id of a vector object -> its sorted items
+    interned: dict[tuple, tuple] = {}  # sorted items -> the one tuple of them
     terms: dict[str, int] = {}  # term -> its place in the term table
     term_refs: list[int] = []
     run_docs: list[int] = []
@@ -413,8 +414,10 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
     for e in entries:
         items = sorted_items.get(id(e.vector))
         if items is None:
-            items = sorted_items[id(e.vector)] = tuple(sorted(e.vector.entries.items()))
-        key = (e.path_context, e.documentation, items)
+            # a tuple does not cache its hash: hash each distinct vector once
+            items = tuple(sorted(e.vector.entries.items()))
+            items = sorted_items[id(e.vector)] = interned.setdefault(items, items)
+        key = (e.path_context, e.documentation, id(items))
         index = doc_index.get(key)
         if index is None:
             index = doc_index[key] = len(contexts)

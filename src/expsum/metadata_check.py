@@ -19,9 +19,6 @@ from .files import read_text
 REASON_EMPTY = "empty"
 REASON_UNINFORMATIVE = "uninformative"
 
-#: Fields that survive checking unconditionally.
-PROTECTED_FIELDS = ("function_name", "file_path")
-
 
 @dataclass(frozen=True)
 class UninformativeDictionary:

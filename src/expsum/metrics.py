@@ -6,7 +6,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Protocol
 
 from .errors import EmptyCorpus
 
@@ -28,15 +27,6 @@ class ScorePair:
     def __post_init__(self):
         if not self.reference.strip():
             raise ValueError("reference must be non-empty")
-
-
-class SummarySimilarityMetric(Protocol):
-    """Pluggable extra metric (e.g. an embedding-cosine scorer); none is
-    bundled."""
-
-    name: str
-
-    def score(self, pair: ScorePair) -> float: ...
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -115,7 +105,6 @@ class ItemScores:
     id: str
     bleu4: float
     rougeL: float
-    semantic: Optional[float] = None
 
 
 @dataclass
@@ -123,48 +112,29 @@ class EvaluationReport:
     per_item: list[ItemScores]
     corpus_means: dict[str, float]
     n: int
-    semantic_metric_name: Optional[str] = None
 
     def to_dict(self) -> dict:
-        items = []
-        for item in self.per_item:
-            d = {"id": item.id, "bleu4": item.bleu4, "rougeL": item.rougeL}
-            if self.semantic_metric_name is not None:
-                d["semantic"] = item.semantic
-            items.append(d)
-        out = {
+        return {
             "n": self.n,
             "corpus_means": dict(self.corpus_means),
-            "per_item": items,
+            "per_item": [
+                {"id": item.id, "bleu4": item.bleu4, "rougeL": item.rougeL}
+                for item in self.per_item
+            ],
         }
-        if self.semantic_metric_name is not None:
-            out["semantic_metric"] = self.semantic_metric_name
-        return out
 
 
-def evaluate_corpus(
-    pairs: list[tuple[str, ScorePair]],
-    semantic_metric: Optional[SummarySimilarityMetric] = None,
-) -> EvaluationReport:
+def evaluate_corpus(pairs: list[tuple[str, ScorePair]]) -> EvaluationReport:
     """Score every (id, pair) and report arithmetic corpus means."""
     if not pairs:
         raise EmptyCorpus("no pairs to evaluate")
-    per_item = []
-    for item_id, pair in pairs:
-        scores = ItemScores(id=item_id, bleu4=bleu4(pair), rougeL=rouge_l(pair))
-        if semantic_metric is not None:
-            scores.semantic = semantic_metric.score(pair)
-        per_item.append(scores)
+    per_item = [
+        ItemScores(id=item_id, bleu4=bleu4(pair), rougeL=rouge_l(pair))
+        for item_id, pair in pairs
+    ]
     n = len(per_item)
     means = {
         "bleu4": sum(i.bleu4 for i in per_item) / n,
         "rougeL": sum(i.rougeL for i in per_item) / n,
     }
-    if semantic_metric is not None:
-        means["semantic"] = sum(i.semantic or 0.0 for i in per_item) / n
-    return EvaluationReport(
-        per_item=per_item,
-        corpus_means=means,
-        n=n,
-        semantic_metric_name=semantic_metric.name if semantic_metric else None,
-    )
+    return EvaluationReport(per_item=per_item, corpus_means=means, n=n)

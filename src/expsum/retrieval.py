@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .code_model import METADATA_FIELD_ORDER, MetadataSet
+from .files import fault
 from .knowledge_base import (
     KnowledgeEntry,
     TfIdfModel,
@@ -47,11 +48,11 @@ class RetrievalConfig:
 
     def __post_init__(self):
         if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
+            raise fault("", ("top_n",), "at least 1", self.top_n, ValueError)
         for name in ("path_overlap_threshold", "token_overlap_threshold"):
             value = getattr(self, name)
             if not (0.0 < value <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1]")
+                raise fault("", (name,), "in (0, 1]", value, ValueError)
 
 
 @dataclass

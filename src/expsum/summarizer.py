@@ -125,6 +125,10 @@ class SummarizerConfig:
     max_iterations: int = 3
     max_parse_retries: int = 1
 
+    def __post_init__(self):
+        check(self.max_iterations, "an integer", "", ("max_iterations",), ValueError, least=1)
+        check(self.max_parse_retries, "an integer", "", ("max_parse_retries",), ValueError, least=0)
+
 
 def load_category_schemas(schema_dir: str | Path) -> list[CategorySchema]:
     """Load one schema JSON per category from a directory and validate the

@@ -298,6 +298,17 @@ class TestRetrieveCommand:
         result = json.loads(capsys.readouterr().out)
         assert result == {"terms": [], "entries": [], "stage_trace": [0, 0, 0]}
 
+    def test_top_n_zero_is_one_error_line_naming_it(self, fixture_paths, capsys):
+        build_kb(fixture_paths)
+        metadata_path = fixture_paths["config"].parent / "meta.json"
+        metadata_path.write_text(json.dumps({"function_name": "f", "file_path": "a.ts"}))
+        argv = ["retrieve", "--metadata", str(metadata_path), "--kb", str(fixture_paths["kb"])]
+        capsys.readouterr()
+        assert main([*argv, "--top-n", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: ValueError: 'top_n' must be at least 1 (got 0)\n"
+        )
+
     def test_malformed_metadata(self, fixture_paths, tmp_path, capsys):
         build_kb(fixture_paths)
         bad = tmp_path / "bad.json"
@@ -430,7 +441,7 @@ class TestConfigTypes:
              "'summarizer' 'max_iterations' must be at least 1 (got 0)"),
             (lambda c: c["summarizer"].update(max_parse_retries=-1),
              "'summarizer' 'max_parse_retries' must be at least 0 (got -1)"),
-            (lambda c: c["retrieval"].update(top_n=0), "invalid retrieval settings: top_n must be >= 1"),
+            (lambda c: c["retrieval"].update(top_n=0), "'retrieval' 'top_n' must be at least 1 (got 0)"),
             (lambda c: c["llm"].update(backend="x"), "'llm' 'backend' must be 'mock' or 'http' (got 'x')"),
         ],
         ids=[

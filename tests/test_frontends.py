@@ -84,6 +84,32 @@ class TestSignatureParsing:
         assert m.return_type == "string"
         assert m.control_flow_skeleton == "return statement"
 
+    def test_parenthesized_initializer_before_arrow_function(self, frontend):
+        m = frontend.parse(
+            "const total = (1 + 2);\nexport const f = (x: number): number => x * total;",
+            "f.ts",
+        )
+        assert m.function_name == "f"
+        assert [(p.name, p.type_annotation) for p in m.parameters] == [("x", "number")]
+        assert m.return_type == "number"
+
+    def test_arrow_function_with_thirty_parameters(self, frontend):
+        params = ", ".join(f"p{k}: number" for k in range(30))
+        m = frontend.parse(f"const f = ({params}): number => p0;", "f.ts")
+        assert m.function_name == "f"
+        assert [p.name for p in m.parameters] == [f"p{k}" for k in range(30)]
+        assert m.return_type == "number"
+
+    def test_function_type_return_annotation(self, frontend):
+        m = frontend.parse("function f(): () => void { return g; }", "f.ts")
+        assert m.return_type == "() => void"
+        assert m.control_flow_skeleton == "return statement"
+
+    def test_declared_function_type_return_annotation(self, frontend):
+        m = frontend.parse("declare function on(cb: () => void): () => void;", "f.ts")
+        assert m.parameters[0].type_annotation == "() => void"
+        assert m.return_type == "() => void"
+
     def test_unbalanced_body_fails(self, frontend):
         with pytest.raises(ParseFailure):
             frontend.parse("function f() { if (x) {", "f.ts")
@@ -167,10 +193,11 @@ TS_SOUP = st.sampled_from(
 soup = st.lists(TS_SOUP, max_size=30).map(" ".join)
 # Framed soup reaches the signature and body scanners about half the time.
 framed = st.tuples(soup, soup, soup).map(lambda p: f"{p[0]} function f({p[1]}) {{ {p[2]} }}")
+arrow = st.tuples(soup, soup, soup).map(lambda p: f"const f = ({p[0]}) {p[1]} => {p[2]}")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=60) | soup | framed)
+@given(st.text(max_size=60) | soup | framed | arrow)
 def test_parse_raises_only_parse_failure(text):
     try:
         TypeScriptLikeFrontend().parse(text, "f.ts")

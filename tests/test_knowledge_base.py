@@ -1,10 +1,12 @@
 import base64
+import hashlib
 import json
 import math
 import random
 import re
 import struct
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -544,6 +546,22 @@ class TestFormat4:
         text = kb_to_json(model, entries)
         assert ints(json.loads(text)["entries"]["run_docs"]) == [0, 1, 2, 3, 0]
         assert kb_from_json(text)[1] == entries
+
+    def test_save_is_linear_in_a_long_vector_shared_by_many_entries(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        n = 16384
+        v = SparseVector({i: 1.0 / (i + 1) for i in range(n)})
+        entries = [KnowledgeEntry(f"T{k}", "text", "ctx", v) for k in range(n)]
+        # an equal vector in another object still merges into the one doc
+        entries.append(KnowledgeEntry("Copy", "text", "ctx", SparseVector(dict(v.entries))))
+        start = time.perf_counter()
+        text = kb_to_json(model, entries)
+        elapsed = time.perf_counter() - start
+        # sha256 of the text saved before docs were keyed by interned vectors
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "23d72eafe28218e0c24eac89e32e6623cb1762727bd99583ab8b940fa1fabf05"
+        )
+        assert elapsed < 1.0
 
     def test_save_load_round_trip_and_rebuild_are_byte_identical(
         self, shared_context_docs, tmp_path

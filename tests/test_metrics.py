@@ -178,21 +178,6 @@ class TestEvaluateCorpus:
         with pytest.raises(EmptyCorpus):
             evaluate_corpus([])
 
-    def test_optional_semantic_metric_column(self):
-        class ConstantMetric:
-            name = "constant"
-
-            def score(self, pair):
-                return 42.0
-
-        report = evaluate_corpus(
-            [("1", ScorePair("a", "a"))], semantic_metric=ConstantMetric()
-        )
-        assert report.semantic_metric_name == "constant"
-        assert report.per_item[0].semantic == 42.0
-        assert report.to_dict()["per_item"][0]["semantic"] == 42.0
-        assert report.corpus_means["semantic"] == 42.0
-
     def test_report_dict_without_semantic_column(self):
         report = evaluate_corpus([("1", ScorePair("a", "a"))])
         assert "semantic" not in report.to_dict()["per_item"][0]

@@ -200,6 +200,19 @@ class TestStage1:
         with pytest.raises(ValueError):
             RetrievalConfig(path_overlap_threshold=0.0)
 
+    @pytest.mark.parametrize(
+        "setting, expected",
+        [
+            ({"top_n": 0}, "'top_n' must be at least 1 (got 0)"),
+            ({"path_overlap_threshold": 1.5}, "'path_overlap_threshold' must be in (0, 1] (got 1.5)"),
+            ({"token_overlap_threshold": 0.0}, "'token_overlap_threshold' must be in (0, 1] (got 0.0)"),
+        ],
+    )
+    def test_config_faults_name_the_setting(self, setting, expected):
+        with pytest.raises(ValueError) as err:
+            RetrievalConfig(**setting)
+        assert str(err.value) == expected
+
     def test_empty_entries(self):
         assert stage1_filter(QueryText(concatenated="q", path="a"), [], CFG) == []
 

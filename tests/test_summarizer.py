@@ -192,6 +192,22 @@ def transcript_client(rules, default=None):
     )
 
 
+class TestSummarizerConfig:
+    @pytest.mark.parametrize(
+        "setting, expected",
+        [
+            ({"max_iterations": 0}, "'max_iterations' must be at least 1 (got 0)"),
+            ({"max_parse_retries": -1}, "'max_parse_retries' must be at least 0 (got -1)"),
+            ({"max_iterations": "3"}, "'max_iterations' must be an integer (got '3')"),
+        ],
+    )
+    def test_loop_bounds_are_checked(self, schemas, constraints, setting, expected):
+        with pytest.raises(ValueError) as err:
+            config(schemas, constraints, **setting)
+        assert type(err.value) is ValueError
+        assert str(err.value) == expected
+
+
 class TestSummarizeLoop:
     def test_single_iteration_acceptance(self, schemas, constraints, battery_metadata):
         client = transcript_client(
