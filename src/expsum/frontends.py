@@ -265,9 +265,7 @@ class TypeScriptLikeFrontend:
             close = _closer(code, i + 3)
             if close is None:
                 continue
-            return_type, arrow_at = self._parse_return_type(
-                code, close + 1, source, stop_at_arrow=True
-            )
+            return_type, arrow_at = self._parse_return_type(code, close + 1, source, arrow=True)
             if arrow_at >= len(code) or code[arrow_at].text != "=>":
                 continue
             params = self._parse_params(code, i + 3, close, source)
@@ -325,18 +323,19 @@ class TypeScriptLikeFrontend:
         return ParameterField(name, type_annotation, default_value)
 
     def _parse_return_type(
-        self, code: list[Token], start: int, source: str, stop_at_arrow: bool = False
+        self, code: list[Token], start: int, source: str, arrow: bool = False
     ) -> tuple[str | None, int]:
         i = start
         if i < len(code) and code[i].text == ":":
             type_start = i + 1
             i = _stop(code, type_start, _RETURN_STOPS, _RETURN)
-            # in a declaration, `=>` right after `)` continues a function type
-            while (
-                not stop_at_arrow and i < len(code)
-                and code[i].text == "=>" and code[i - 1].text == ")"
-            ):
-                i = _stop(code, i + 1, _RETURN_STOPS, _RETURN)
+            # `=>` right after `)` continues a function type, but in an arrow
+            # function only when another `=>`, the arrow's own, follows
+            while i < len(code) and code[i].text == "=>" and code[i - 1].text == ")":
+                after = _stop(code, i + 1, _RETURN_STOPS, _RETURN)
+                if arrow and (after == len(code) or code[after].text != "=>"):
+                    break
+                i = after
             if i > type_start:
                 annotation = source[code[type_start].pos : code[i - 1].end].strip()
                 return annotation or None, i

@@ -324,7 +324,7 @@ def build_knowledge_base(
 # -- persistence -------------------------------------------------------------
 
 #: Version of the saved file layout; files of any other version are refused.
-KB_FORMAT = 6
+KB_FORMAT = 7
 
 #: The packed columns' ``array`` codes, with the width in bytes and the
 #: meaning of one item. Columns are little-endian on every host.
@@ -334,11 +334,25 @@ _ITEMS = {
     "I": (4, "an unsigned 32-bit integer"),
     "d": (8, "a 64-bit float"),
 }
-if any(array(code).itemsize != width for code, (width, _) in _ITEMS.items()):
-    raise ImportError("expsum needs 1-byte 'B', 2-byte 'H', 4-byte 'I' and 8-byte 'd' arrays")
+# a weight's 64-bit pattern is read as a 'Q' item
+if array("Q").itemsize != 8 or any(
+    array(code).itemsize != width for code, (width, _) in _ITEMS.items()
+):
+    raise ImportError("expsum needs 'B', 'H', 'I', 'd' and 'Q' arrays of 1, 2, 4, 8 and 8 bytes")
 
 #: The codes an integer column may be stored in, narrowest first.
 _INTEGER_CODES = ("B", "H", "I")
+
+
+def _array(values, what: str, code: str = "I") -> array:
+    """``values`` as an ``array`` of ``code`` items; raises ``ValueError``
+    naming ``what`` for a value that does not fit ``code``."""
+    try:
+        return array(code, values)
+    except (OverflowError, TypeError) as e:
+        raise ValueError(
+            f"cannot save the knowledge base: {what} is not {_ITEMS[code][1]} ({e})"
+        ) from None
 
 
 def _pack(values, what: str, code: str = "I") -> str:
@@ -348,12 +362,7 @@ def _pack(values, what: str, code: str = "I") -> str:
 
     Raises ``ValueError`` naming ``what`` for a value that does not fit
     ``code``."""
-    try:
-        column = array(code, values)
-    except (OverflowError, TypeError) as e:
-        raise ValueError(
-            f"cannot save the knowledge base: {what} is not {_ITEMS[code][1]} ({e})"
-        ) from None
+    column = _array(values, what, code)
     if code == "I":
         top = max(column, default=0)
         code = next(c for c in _INTEGER_CODES if top < 256 ** _ITEMS[c][0])
@@ -364,8 +373,29 @@ def _pack(values, what: str, code: str = "I") -> str:
     return f"{code}:{base64.b64encode(column.tobytes()).decode('ascii')}"
 
 
+def _vector(vector: SparseVector, weights: dict[int, int]) -> tuple[tuple, tuple]:
+    """``vector``'s ascending indices, and for each the place of its weight
+    in the table ``weights`` (a weight's 64-bit pattern -> its place), which
+    gains each weight not yet in it. The pattern tells ``0.0`` from
+    ``-0.0``."""
+    pairs = sorted(vector.entries.items())
+    column = _array([w for _, w in pairs], "a vector weight", "d")
+    places = memoryview(column).cast("B").cast("Q")
+    return tuple(i for i, _ in pairs), tuple(weights.setdefault(b, len(weights)) for b in places)
+
+
+def _weight_column(weights: dict[int, int]) -> array:
+    """The table ``weights`` (see :func:`_vector`) as 64-bit floats in order
+    of place; raises ``ValueError`` for one that is not finite."""
+    column = array("d", array("Q", weights).tobytes())
+    bad = next((w for w in column if not math.isfinite(w)), None)
+    if bad is not None:
+        raise ValueError(f"cannot save the knowledge base: a vector weight is not finite ({bad})")
+    return column
+
+
 def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
-    """Render the knowledge base as format-6 JSON, which stores each datum
+    """Render the knowledge base as format-7 JSON, which stores each datum
     once.
 
     ``model`` holds the frequency keys once, sorted, as ``tokens``, with two
@@ -373,24 +403,27 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
     token's index, or ``null`` for a token without one). ``docs`` holds one
     column per field over each distinct (path context, text, vector) in
     order of first use by an entry: ``path_contexts`` and ``texts``, each
-    vector's entry count in ``sizes``, and all vectors' ascending
-    ``indices`` and their ``weights`` end to end. ``entries`` holds
-    ``terms``, each distinct term once in order of first use, one index
-    into it per entry in ``term_refs``, and the entries' docs as runs of
-    consecutive entries of one doc: the doc's position in ``run_docs`` and
-    the run's length in ``run_lengths``.
+    vector's entry count in ``sizes``, all vectors' ascending ``indices``
+    end to end, and for each index the place of its weight in the weight
+    table in ``weight_refs``. The table, ``weights``, holds each distinct
+    weight once, told apart by its 64-bit pattern (so ``0.0`` and ``-0.0``
+    are two), in order of first use. ``entries`` holds ``terms``, each
+    distinct term once in order of first use, one index into it per entry
+    in ``term_refs``, and the entries' docs as runs of consecutive entries
+    of one doc: the doc's position in ``run_docs`` and the run's length in
+    ``run_lengths``.
 
-    The six integer columns (``doc_frequency``, ``sizes``, ``indices``,
-    ``term_refs``, ``run_docs``, ``run_lengths``) and ``weights`` are packed
-    as ``<code>:<base64>``: the base64 of the column's little-endian items
-    of ``array`` type ``code``. An integer column's code is the narrowest of
+    The seven integer columns (``doc_frequency``, ``sizes``, ``indices``,
+    ``weight_refs``, ``term_refs``, ``run_docs``, ``run_lengths``) and
+    ``weights`` are packed as ``<code>:<base64>``: the base64 of the
+    column's little-endian items of ``array`` type ``code``. An integer column's code is the narrowest of
     ``B``, ``H`` and ``I`` (unsigned 8, 16 and 32 bits) that holds its
     largest value, ``B`` when it is empty; ``weights`` is ``d`` (64-bit
     floats). ``vocabulary`` and the string columns are JSON lists.
 
     Raises ``ValueError`` for an integer that does not fit an unsigned
-    32-bit integer, a weight that is not a 64-bit float, and a vocabulary
-    token without a document frequency.
+    32-bit integer, a weight that is not a finite 64-bit float, and a
+    vocabulary token without a document frequency.
     """
     missing = model.vocabulary.keys() - model.doc_frequency.keys()
     if missing:
@@ -403,29 +436,30 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
     texts: list[str] = []
     sizes: list[int] = []
     indices: list[int] = []
-    weights: list[float] = []
-    doc_index: dict[tuple, int] = {}  # (path context, text, id of items) -> doc
-    sorted_items: dict[int, tuple] = {}  # id of a vector object -> its sorted items
-    interned: dict[tuple, tuple] = {}  # sorted items -> the one tuple of them
+    weight_refs: list[int] = []
+    weights: dict[int, int] = {}  # a weight's 64-bit pattern -> its place in the table
+    doc_index: dict[tuple, int] = {}  # (path context, text, id of vector) -> doc
+    vectors: dict[int, tuple] = {}  # id of a vector object -> its (indices, weight refs)
+    interned: dict[tuple, tuple] = {}  # (indices, weight refs) -> the one tuple of them
     terms: dict[str, int] = {}  # term -> its place in the term table
     term_refs: list[int] = []
     run_docs: list[int] = []
     run_lengths: list[int] = []
     for e in entries:
-        items = sorted_items.get(id(e.vector))
-        if items is None:
+        vector = vectors.get(id(e.vector))
+        if vector is None:
             # a tuple does not cache its hash: hash each distinct vector once
-            items = tuple(sorted(e.vector.entries.items()))
-            items = sorted_items[id(e.vector)] = interned.setdefault(items, items)
-        key = (e.path_context, e.documentation, id(items))
+            vector = _vector(e.vector, weights)
+            vector = vectors[id(e.vector)] = interned.setdefault(vector, vector)
+        key = (e.path_context, e.documentation, id(vector))
         index = doc_index.get(key)
         if index is None:
             index = doc_index[key] = len(contexts)
             contexts.append(e.path_context)
             texts.append(e.documentation)
-            sizes.append(len(items))
-            indices.extend(i for i, _ in items)
-            weights.extend(w for _, w in items)
+            sizes.append(len(vector[0]))
+            indices.extend(vector[0])
+            weight_refs.extend(vector[1])
         term_refs.append(terms.setdefault(e.term, len(terms)))
         if run_docs and run_docs[-1] == index:
             run_lengths[-1] += 1
@@ -448,7 +482,8 @@ def kb_to_json(model: TfIdfModel, entries: list[KnowledgeEntry]) -> str:
             "texts": texts,
             "sizes": _pack(sizes, "a vector size"),
             "indices": _pack(indices, "a vector index"),
-            "weights": _pack(weights, "a vector weight", "d"),
+            "weights": _pack(_weight_column(weights), "a vector weight", "d"),
+            "weight_refs": _pack(weight_refs, "a weight reference"),
         },
         "entries": {
             "terms": list(terms),
@@ -501,14 +536,15 @@ def _positions(values: array, bound: int, where: str, what: str) -> None:
 def kb_from_json(
     text: str, source: str = "knowledge base"
 ) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
-    """Parse format-6 JSON (see :func:`kb_to_json`); the entries of one doc
-    share its text and vector object, and the entries of one term share
-    its string.
+    """Parse format-7 JSON (see :func:`kb_to_json`); the entries of one doc
+    share its text and vector object, the entries of one term share its
+    string, and the vectors share one float object per distinct weight.
 
     Raises :class:`MalformedKnowledgeBase`, naming ``source``, for text that
-    is not a well-formed format-6 knowledge base, files of an older format
-    included, and for a model whose values ``idf`` cannot use: ``doc_count``
-    or a frequency below 1, or a negative or non-finite ``alpha``.
+    is not a well-formed format-7 knowledge base, files of an older format
+    included, for a weight that is not finite, and for a model whose values
+    ``idf`` cannot use: ``doc_count`` or a frequency below 1, or a negative
+    or non-finite ``alpha``.
     """
     payload = parse_json(text, source, MalformedKnowledgeBase)
     del text  # only the parsed payload is needed from here on
@@ -535,6 +571,7 @@ def _kb_from_payload(payload: JsonObject) -> tuple[TfIdfModel, list[KnowledgeEnt
     sizes = _column(raw_docs, "sizes")
     indices = _column(raw_docs, "indices")
     weights = _column(raw_docs, "weights", ("d",))
+    weight_refs = _column(raw_docs, "weight_refs")
     terms = raw_entries.get("terms", "a list", items="a string")
     term_refs = _column(raw_entries, "term_refs")
     run_docs = _column(raw_entries, "run_docs")
@@ -562,18 +599,24 @@ def _kb_from_payload(payload: JsonObject) -> tuple[TfIdfModel, list[KnowledgeEnt
         raise MalformedKnowledgeBase(
             f"'docs' 'sizes' add up to {sum(sizes)} but there are {len(indices)} indices"
         )
-    if len(indices) != len(weights):
+    if len(indices) != len(weight_refs):
         raise MalformedKnowledgeBase(
-            f"'docs' has {len(indices)} indices but {len(weights)} weights"
+            f"'docs' has {len(indices)} indices but {len(weight_refs)} weight references"
         )
-    pairs = zip(indices, weights)
+    _positions(weight_refs, len(weights), "'docs' 'weight_refs'", "weights")
+    if not all(map(math.isfinite, weights)):
+        n, bad = next((n, w) for n, w in enumerate(weights) if not math.isfinite(w))
+        raise fault(raw_docs.where, (*raw_docs.path, "weights", n), "a finite number", bad,
+                    raw_docs.error)
+    values = weights.tolist()  # one float object per distinct weight, shared by the vectors
+    pairs = zip(indices, map(values.__getitem__, weight_refs))
     vectors: list[SparseVector] = []
     for n, size in enumerate(sizes):
         vector = dict(islice(pairs, size))
         if len(vector) != size:
             raise MalformedKnowledgeBase(f"'docs' 'indices' repeats an index in doc {n}")
         vectors.append(SparseVector(vector))
-    del pairs, indices, weights  # the columns are garbage once the vectors exist
+    del pairs, indices, weights, weight_refs  # the columns are garbage once the vectors exist
     _positions(term_refs, len(terms), "'entries' 'term_refs'", "terms")
     _positions(run_docs, len(vectors), "'entries' 'run_docs'", "docs")
     if len(run_docs) != len(run_lengths):

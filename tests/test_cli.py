@@ -96,6 +96,21 @@ V5_KB = json.dumps(
 )
 
 
+# A knowledge base in the retired format 6, which stored every vector
+# weight in full, one per index.
+V6_KB = json.dumps(
+    {
+        "format": 6,
+        "model": {"tokens": ["media"], "doc_frequency": "B:AQ==", "vocabulary": [0],
+                  "doc_count": 1, "alpha": 0.01},
+        "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": "B:AQ==",
+                 "indices": "B:AA==", "weights": "d:OPjCZKpghL8="},
+        "entries": {"terms": ["MediaKit"], "term_refs": "B:AA==", "run_docs": "B:AA==",
+                    "run_lengths": "B:AQ=="},
+    }
+)
+
+
 @pytest.fixture
 def fixture_paths(tmp_path):
     return write_fixture(tmp_path / "e2e")
@@ -274,7 +289,7 @@ class TestRetrieveCommand:
         kb_path.write_text(
             json.dumps(
                 {
-                    "format": 6,
+                    "format": 7,
                     "model": {
                         "tokens": [],
                         "doc_frequency": "B:",
@@ -283,7 +298,7 @@ class TestRetrieveCommand:
                         "alpha": 0.01,
                     },
                     "docs": {"path_contexts": [], "texts": [], "sizes": "B:",
-                             "indices": "B:", "weights": "d:"},
+                             "indices": "B:", "weights": "d:", "weight_refs": "B:"},
                     "entries": {"terms": [], "term_refs": "B:", "run_docs": "B:",
                                 "run_lengths": "B:"},
                 }
@@ -354,15 +369,16 @@ class TestBadKnowledgeBase:
         [
             ("{}", "no format field"),
             (V1_KB, "rebuild it with `expsum kb-build`"),
-            (V2_KB, "format 2, expected format 6; rebuild it with `expsum kb-build`"),
-            (V3_KB, "format 3, expected format 6; rebuild it with `expsum kb-build`"),
-            (V4_KB, "format 4, expected format 6; rebuild it with `expsum kb-build`"),
-            (V5_KB, "format 5, expected format 6; rebuild it with `expsum kb-build`"),
+            (V2_KB, "format 2, expected format 7; rebuild it with `expsum kb-build`"),
+            (V3_KB, "format 3, expected format 7; rebuild it with `expsum kb-build`"),
+            (V4_KB, "format 4, expected format 7; rebuild it with `expsum kb-build`"),
+            (V5_KB, "format 5, expected format 7; rebuild it with `expsum kb-build`"),
+            (V6_KB, "format 6, expected format 7; rebuild it with `expsum kb-build`"),
             ("[" * 100_000, "is not valid JSON (maximum recursion depth exceeded"),
             ('{"format": ' + "9" * 5000 + "}", "is not valid JSON (Exceeds the limit (4300 digits)"),
         ],
         ids=["empty-object", "format-1", "format-2", "format-3", "format-4", "format-5",
-             "too-deep", "huge-int"],
+             "format-6", "too-deep", "huge-int"],
     )
     def test_one_error_line_and_exit_1(
         self, fixture_paths, capsys, command, content, expected

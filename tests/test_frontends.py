@@ -100,6 +100,26 @@ class TestSignatureParsing:
         assert [p.name for p in m.parameters] == [f"p{k}" for k in range(30)]
         assert m.return_type == "number"
 
+    @pytest.mark.parametrize(
+        "source, params, return_type, body",
+        [
+            ("const f = (): () => void => g;", [], "() => void", ["g"]),
+            ("const f = (): (string) => x;", [], "(string)", ["x"]),
+            ("const f = (a: number, b?: string): (x: number) => void => { return a; };",
+             [("a", "number"), ("b", "?string")], "(x: number) => void", ["return", "a", ";"]),
+        ],
+        ids=["function-type", "parenthesised-type", "function-type-with-params"],
+    )
+    def test_arrow_function_return_type_ends_before_its_own_arrow(
+        self, frontend, source, params, return_type, body
+    ):
+        code = [t for t in lex(source) if t.kind not in ("block_comment", "line_comment")]
+        _, got_params, got_type, got_body = frontend._parse_function(code, source)
+        assert [(p.name, p.type_annotation) for p in got_params] == params
+        assert got_type == return_type
+        assert [t.text for t in got_body] == body
+        assert frontend.parse(source, "a.ets").return_type == return_type
+
     def test_function_type_return_annotation(self, frontend):
         m = frontend.parse("function f(): () => void { return g; }", "f.ts")
         assert m.return_type == "() => void"

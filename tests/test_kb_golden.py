@@ -49,12 +49,12 @@ SEEDED_CONTENT_DIGEST = "d1367cef319a2edfa13d921cf863fa530542767e026f1c53e5f3de8
 SEEDED_RETRIEVAL_DIGEST = "0324df4770822316bc9c63fe2c965a88793f1c8bffa1d1cc03fa1e4ab429e256"
 
 # sha256 of the file ``expsum kb-build`` writes for the e2e fixture's docs,
-# recorded with KB format 6.
-E2E_KB_BUILD_DIGEST = "2552d71c37e1785460acfe7e25512406ef52e0488aaa28d44010479b3312eecb"
+# recorded with KB format 7.
+E2E_KB_BUILD_DIGEST = "196d59d692bfb97c21c02c044efa3ac90697bb863a0ed109048dbc12868e7cc5"
 
-# kb_to_json bytes per byte of doc text on the seeded KB: the format-6 value
-# (1.6229; format 5 wrote 1.8060, format 4 2.2138) plus 1%.
-SEEDED_BYTES_PER_DOC_BYTE_BOUND = 1.6391
+# kb_to_json bytes per byte of doc text on the seeded KB: the format-7 value
+# (1.2926; format 6 wrote 1.6229, format 5 1.8060, format 4 2.2138) plus 1%.
+SEEDED_BYTES_PER_DOC_BYTE_BOUND = 1.3056
 
 
 @functools.cache

@@ -7,6 +7,7 @@ import re
 import struct
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -332,7 +333,7 @@ WIDTHS = {"B": 1, "H": 2, "I": 4}
 
 #: The (section, key) of every integer column.
 INTEGER_COLUMNS = [
-    ("model", "doc_frequency"), ("docs", "sizes"), ("docs", "indices"),
+    ("model", "doc_frequency"), ("docs", "sizes"), ("docs", "indices"), ("docs", "weight_refs"),
     ("entries", "term_refs"), ("entries", "run_docs"), ("entries", "run_lengths"),
 ]
 
@@ -358,12 +359,13 @@ def bare(code, values):
 
 
 def packed(code, values):
-    """``values`` as a format-6 column of ``code`` items."""
+    """``values`` as a packed column of ``code`` items, as formats 6 and 7
+    store it."""
     return f"{code}:{bare(code, values)}"
 
 
 class TestFormat4:
-    """The saved file's layout, format 6 since format 5 was retired; the
+    """The saved file's layout, format 7 since format 6 was retired; the
     class keeps its name so its test ids stay stable."""
 
     def build(self, docs):
@@ -376,7 +378,7 @@ class TestFormat4:
         save_knowledge_base(path, model, entries)
         text = path.read_text(encoding="utf-8")
         payload = json.loads(text)
-        assert payload["format"] == KB_FORMAT == 6
+        assert payload["format"] == KB_FORMAT == 7
         distinct = {(d.path_context, d.text) for d in shared_context_docs}
         assert len(payload["docs"]["texts"]) == len(distinct) < len(shared_context_docs)
         for doc in shared_context_docs:
@@ -465,6 +467,27 @@ class TestFormat4:
         assert ints(docs["sizes"]) == [3, 1, 0]
         assert ints(docs["indices"]) == [2, 4, 7, 1]
         assert f64s(docs["weights"]) == [0.25, -0.125, 0.5, 2.0]
+        assert ints(docs["weight_refs"]) == [0, 1, 2, 3]
+
+    def test_weight_table_holds_each_bit_pattern_once_in_order_of_first_use(self):
+        model = fit_tfidf([PackageDoc("a", "alpha beta")])
+        entries = [
+            KnowledgeEntry("T", "text", "ctx", SparseVector({7: 0.5, 2: -0.0, 4: 0.5})),
+            KnowledgeEntry("U", "other", "ctx", SparseVector({1: 0.0, 3: 5e-324, 5: -0.0})),
+            KnowledgeEntry("V", "third", "ctx", SparseVector({0: 0.5, 9: 1})),
+        ]
+        text = kb_to_json(model, entries)
+        docs = json.loads(text)["docs"]
+        # -0.0 and 0.0 are two weights; the integer 1 is the weight 1.0
+        assert [w.hex() for w in f64s(docs["weights"])] == [
+            w.hex() for w in (-0.0, 0.5, 0.0, 5e-324, 1.0)
+        ]
+        assert ints(docs["weight_refs"]) == [0, 1, 1, 2, 3, 0, 1, 4]
+        loaded = kb_from_json(text)[1]
+        assert loaded == entries
+        assert vector_bits(loaded) == vector_bits(entries)
+        # the vectors share one float object per distinct weight
+        assert len({id(w) for e in loaded for w in e.vector.entries.values()}) == 5
 
     def test_numeric_columns_are_little_endian_base64(self):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -477,6 +500,7 @@ class TestFormat4:
             "000000000000f03f" "00000000000000c0"
         )).decode("ascii")
         assert payload["docs"]["sizes"] == "B:Ag=="
+        assert payload["docs"]["weight_refs"] == "B:AAE="
 
     def test_big_endian_hosts_swap_bytes_both_ways(self, monkeypatch):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -515,8 +539,11 @@ class TestFormat4:
             (SparseVector({0: 1.0, 1.5: 1.0}), "a vector index is not an unsigned 32-bit"),
             (SparseVector({0: "x"}), "a vector weight is not a 64-bit float"),
             (SparseVector({0: 10**400}), "a vector weight is not a 64-bit float"),
+            (SparseVector({0: 0.5, 1: math.nan}), "a vector weight is not finite (nan)"),
+            (SparseVector({0: -math.inf}), "a vector weight is not finite (-inf)"),
         ],
-        ids=["u32-overflow", "negative", "float-index", "str-weight", "huge-int-weight"],
+        ids=["u32-overflow", "negative", "float-index", "str-weight", "huge-int-weight",
+             "nan-weight", "inf-weight"],
     )
     def test_values_that_do_not_fit_raise_value_error(self, vector, expected):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])
@@ -557,9 +584,10 @@ class TestFormat4:
         start = time.perf_counter()
         text = kb_to_json(model, entries)
         elapsed = time.perf_counter() - start
-        # sha256 of the text saved before docs were keyed by interned vectors
+        # sha256 of the text saved before docs were keyed by interned vectors,
+        # in its format-7 form (the same text with its weights as a table)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "23d72eafe28218e0c24eac89e32e6623cb1762727bd99583ab8b940fa1fabf05"
+            "ed3fcf2fdc776f85647ff04f462df6d04b8e563b0a0566fe2c2a36845ce441c1"
         )
         assert elapsed < 1.0
 
@@ -575,19 +603,44 @@ class TestFormat4:
         assert path.read_bytes() == first
 
 
+def test_readme_describes_the_saved_format():
+    """README's knowledge-base heading and its example name ``KB_FORMAT``,
+    and the example has the saved file's keys, so a format change cannot
+    leave README behind."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    headings = re.findall(r"\*\*Knowledge base\*\* \(format (\d+)\)", readme)
+    examples = re.findall(r'`(\{"format": \d+, "model": .*\})`', readme)
+    assert headings == [str(KB_FORMAT)] and len(examples) == 1
+    example = json.loads(examples[0].replace("[...]", "[]").replace(": n,", ": 1,")
+                         .replace(": a}", ": 0}"))
+    assert example["format"] == KB_FORMAT
+    saved = json.loads(kb_to_json(TfIdfModel({}, 1, {}), []))
+    assert {k: sorted(v) for k, v in example.items() if k != "format"} == {
+        k: sorted(v) for k, v in saved.items() if k != "format"
+    }
+
+
 MODEL = {"vocabulary": {"media": 0}, "doc_count": 2, "doc_frequency": {"media": 1}, "alpha": 0.01}
 
 
 def valid_payload():
     return {
-        "format": 6,
+        "format": 7,
         "model": {"tokens": ["media"], "doc_frequency": packed("B", [1]), "vocabulary": [0],
                   "doc_count": 2, "alpha": 0.01},
         "docs": {"path_contexts": ["ohos.media"], "texts": ["media"], "sizes": packed("B", [1]),
-                 "indices": packed("B", [0]), "weights": packed("d", [0.69])},
+                 "indices": packed("B", [0]), "weights": packed("d", [0.69]),
+                 "weight_refs": packed("B", [0])},
         "entries": {"terms": ["MediaKit"], "term_refs": packed("B", [0]),
                     "run_docs": packed("B", [0]), "run_lengths": packed("B", [1])},
     }
+
+
+# The same KB in the retired format 6, which stored every vector weight in
+# full, one per index.
+FORMAT_6 = valid_payload()
+FORMAT_6["format"] = 6
+del FORMAT_6["docs"]["weight_refs"]
 
 
 # The same KB in the retired format 5, which stored the model's frequencies
@@ -655,13 +708,14 @@ class TestLoadErrors:
             ("{not json", "not valid JSON"),
             ("[]", "knowledge base must be an object (got [])"),
             ("{}", "no format field"),
-            (broken(set_in(("format",), 1)), "format 1, expected format 6"),
-            (broken(set_in(("format",), 2)), "format 2, expected format 6"),
-            (json.dumps(FORMAT_3), "format 3, expected format 6; rebuild it with `expsum kb-build`"),
-            (json.dumps(FORMAT_4), "format 4, expected format 6; rebuild it with `expsum kb-build`"),
-            (json.dumps(FORMAT_5), "format 5, expected format 6; rebuild it with `expsum kb-build`"),
+            (broken(set_in(("format",), 1)), "format 1, expected format 7"),
+            (broken(set_in(("format",), 2)), "format 2, expected format 7"),
+            (json.dumps(FORMAT_3), "format 3, expected format 7; rebuild it with `expsum kb-build`"),
+            (json.dumps(FORMAT_4), "format 4, expected format 7; rebuild it with `expsum kb-build`"),
+            (json.dumps(FORMAT_5), "format 5, expected format 7; rebuild it with `expsum kb-build`"),
+            (json.dumps(FORMAT_6), "format 6, expected format 7; rebuild it with `expsum kb-build`"),
             ("[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
-            ('{"format": 6, "model": ' + "9" * 5000 + "}",
+            ('{"format": 7, "model": ' + "9" * 5000 + "}",
              "not valid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
             (broken(lambda p: p.pop("docs")), "'docs' must be an object (got None)"),
             (broken(set_in(("docs",), FORMAT_3["docs"])),
@@ -746,9 +800,11 @@ class TestLoadErrors:
              "'sizes' add up to 2 but there are 1 indices"),
             (broken(set_column("docs", "sizes", "I", [0])),
              "'sizes' add up to 0 but there are 1 indices"),
-            (broken(set_column("docs", "weights", "d", [])), "1 indices but 0 weights"),
+            (broken(set_column("docs", "weights", "d", [])),
+             "'docs' 'weight_refs' holds 0, not one of the 0 weights"),
             (broken(lambda p: p["docs"].update(sizes=packed("B", [2]), indices=packed("H", [0, 0]),
-                                               weights=packed("d", [1.0, 2.0]))),
+                                               weights=packed("d", [1.0, 2.0]),
+                                               weight_refs=packed("B", [0, 1]))),
              "'indices' repeats an index in doc 0"),
             (broken(set_in(("entries",), [{"term": "MediaKit", "doc": 0}])),
              "'entries' must be an object (got [{'term': 'MediaKit', 'doc': 0}])"),
@@ -814,10 +870,28 @@ class TestLoadErrors:
             (broken(lambda p: p["entries"].update(run_docs=packed("B", [0, 0]),
                                                   run_lengths=packed("I", [1, 0]))),
              "'entries' 'run_lengths' item 1 must be at least 1 (got 0)"),
+            (broken(set_column("docs", "weight_refs", "B", [1])),
+             "'docs' 'weight_refs' holds 1, not one of the 1 weights"),
+            (broken(set_column("docs", "weight_refs", "H", [256])),
+             "'docs' 'weight_refs' holds 256, not one of the 1 weights"),
+            (broken(set_column("docs", "weight_refs", "B", [0, 0])),
+             "'docs' has 1 indices but 2 weight references"),
+            (broken(set_column("docs", "weight_refs", "B", [])),
+             "'docs' has 1 indices but 0 weight references"),
+            (broken(lambda p: p["docs"].pop("weight_refs")),
+             "'docs' 'weight_refs' must be a string (got None)"),
+            (broken(set_in(("docs", "weight_refs"), [0])),
+             "'docs' 'weight_refs' must be a string (got [0])"),
+            (broken(set_column("docs", "weight_refs", "d", [0.0])),
+             "'docs' 'weight_refs' has type code 'd', not one of B, H, I"),
+            (broken(set_column("docs", "weights", "d", [math.nan])),
+             "'docs' 'weights' item 0 must be a finite number (got nan)"),
+            (broken(lambda p: p["docs"].update(weights=packed("d", [0.69, -math.inf]))),
+             "'docs' 'weights' item 1 must be a finite number (got -inf)"),
         ],
         ids=[
             "not-json", "array", "empty-object", "format-1", "format-2", "format-3", "format-4",
-            "format-5",
+            "format-5", "format-6",
             "too-deep", "huge-int", "no-docs", "docs-list", "model-list", "model-format-4",
             "no-alpha", "vocabulary-value", "vocabulary-bool", "doc-count-huge", "doc-count-0",
             "doc-count-str", "doc-count-bool", "doc-count-float",
@@ -837,7 +911,9 @@ class TestLoadErrors:
             "sizes-unknown-code", "indices-two-codes", "weights-integer-code",
             "term-refs-partial-item", "frequency-partial-item", "run-lengths-partial-item",
             "term-ref-past-table-u16", "run-doc-past-end-u16", "frequency-0-later",
-            "run-length-0-later",
+            "run-length-0-later", "weight-ref-past-table", "weight-ref-past-table-u16",
+            "extra-weight-ref", "no-weight-ref", "no-weight-refs", "weight-refs-list",
+            "weight-refs-float-code", "weight-nan", "weight-inf-unused",
         ],
     )
     def test_malformed_text_raises_typed_error(self, text, expected):
@@ -932,8 +1008,35 @@ def width_boundary_kbs(draw):
         for n, d in enumerate(refs)
     ]
     tops = {"doc_frequency": frequency, "sizes": size, "indices": index if size else None,
+            "weight_refs": 0 if size else None,
             "term_refs": term_ref, "run_docs": run_doc, "run_lengths": run_length}
     return model, entries, tops
+
+
+@st.composite
+def repeated_weight_kbs(draw):
+    """A KB whose vectors draw their weights from one pool, so docs repeat
+    each other's weights. The pool holds 0.0 beside -0.0 and subnormals, and
+    sometimes more than 256 distinct weights, which need 16-bit weight
+    references; the first doc holds the whole pool."""
+    subnormal = st.floats(-2.0**-1022, 2.0**-1022, exclude_min=True, exclude_max=True)
+    pool = [0.0, -0.0, 5e-324, draw(subnormal)] + draw(st.lists(finite, max_size=8))
+    if draw(st.booleans()):
+        pool += [k / 7 for k in range(1, draw(st.integers(257, 300)))]
+    vectors = [SparseVector(dict(enumerate(pool)))] + [
+        SparseVector(content)
+        for content in draw(st.lists(
+            st.dictionaries(st.integers(0, 400), st.sampled_from(pool), max_size=6),
+            min_size=1, max_size=4,
+        ))
+    ]
+    entries = [KnowledgeEntry(f"T{n}", f"text {n}", "ctx", v) for n, v in enumerate(vectors)]
+    return TfIdfModel({}, 1, {}), entries
+
+
+def vector_bits(entries):
+    """Each entry's vector as (index, weight bits) pairs, ``-0.0`` apart."""
+    return [[(i, float(w).hex()) for i, w in sorted(e.vector.entries.items())] for e in entries]
 
 
 json_values = st.recursive(
@@ -999,6 +1102,21 @@ class TestFileProperties:
             assert max(values, default=None) == tops.get(key)
             narrowest = next(c for c, w in WIDTHS.items() if max(values, default=0) < 1 << 8 * w)
             assert payload[section][key].startswith(narrowest + ":")
+
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_weight_kbs())
+    def test_repeated_weights_round_trip_bit_for_bit(self, kb):
+        model, entries = kb
+        text = kb_to_json(model, entries)
+        loaded_model, loaded = kb_from_json(text)
+        assert vector_bits(loaded) == vector_bits(entries)
+        assert kb_to_json(loaded_model, loaded) == text
+        distinct = {bits for vector in vector_bits(entries) for _, bits in vector}
+        docs = json.loads(text)["docs"]
+        assert sorted(w.hex() for w in f64s(docs["weights"])) == sorted(distinct)
+        assert docs["weight_refs"].startswith("H:" if len(distinct) > 256 else "B:")
+        # the loaded vectors share one float object per distinct weight
+        assert len({id(w) for e in loaded for w in e.vector.entries.values()}) == len(distinct)
 
     @settings(max_examples=200, deadline=None)
     @given(knowledge_bases(), st.data())
