@@ -146,6 +146,21 @@ def _closer(tokens: list[Token], start: int, brackets: dict[str, int] = _GROUP) 
     return None
 
 
+def _closers(tokens: list[Token], brackets: dict[str, int] = _GROUP) -> dict[int, int]:
+    """``_closer(tokens, i, brackets)`` of every opener ``i`` that has one,
+    from one pass: a closer ends the innermost group still open, and one
+    with no group open ends none."""
+    closers: dict[int, int] = {}
+    open_at: list[int] = []
+    for j, token in enumerate(tokens):
+        step = brackets.get(token.text, 0)
+        if step > 0:
+            open_at.append(j)
+        elif step < 0 and open_at:
+            closers[open_at.pop()] = j
+    return closers
+
+
 def _stop(tokens: list[Token], start: int, stops, brackets: dict[str, int] = _GROUP) -> int:
     """Index of the first token in ``stops`` outside brackets, from
     ``start``; ``len(tokens)`` if there is none. A closer may take the
@@ -252,6 +267,7 @@ class TypeScriptLikeFrontend:
 
     def _parse_arrow_function(self, code, source):
         # const name = (params): ret => body, where `=>` follows the group
+        closers = _closers(code)
         for i, t in enumerate(code):
             if not (
                 t.kind == "ident"
@@ -262,7 +278,7 @@ class TypeScriptLikeFrontend:
                 and code[i + 3].text == "("
             ):
                 continue
-            close = _closer(code, i + 3)
+            close = closers.get(i + 3)
             if close is None:
                 continue
             return_type, arrow_at = self._parse_return_type(code, close + 1, source, arrow=True)
@@ -426,7 +442,8 @@ class TypeScriptLikeFrontend:
                     collecting = False
 
         assign_ops = {"=", "+=", "-=", "*=", "/=", "%="}
-        targets: list[str] = []
+        targets: list[str] = []  # in order of first assignment
+        seen: set[str] = set()
 
         def chain_before(index: int) -> tuple[str | None, int]:
             # walk (ident|this)(.ident)* ending right before `index`
@@ -459,6 +476,7 @@ class TypeScriptLikeFrontend:
                     continue
                 if base in _KEYWORDS and base != "this":
                     continue
-                if lhs not in targets:
+                if lhs not in seen:
+                    seen.add(lhs)
                     targets.append(lhs)
         return ", ".join(targets) if targets else None

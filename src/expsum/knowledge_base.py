@@ -2,11 +2,11 @@
 
 Each entry is a 4-tuple: the term, the documentation it came from, the path
 context (package root) of that documentation, and a sparse TF-IDF vector of
-the documentation. All entries of one document share that document's text
-and vector object, and the saved file stores each datum once: each
-document, each distinct term and each model token. Terms are found
-lexically (special-form expressions) and semantically (words whose synonym
-substitution would change sentence meaning, judged by an LLM).
+the documentation. All entries of one document share that document's text,
+path-context string and vector object, and the saved file stores each datum
+once: each document, each distinct term and each model token. Terms are
+found lexically (special-form expressions) and semantically (words whose
+synonym substitution would change sentence meaning, judged by an LLM).
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ class TfIdfModel:
 class KnowledgeEntry:
     """4-tuple knowledge record: term, documentation, path context, vector.
 
-    Entries of one document share its text and its vector object; treat
-    both as read-only."""
+    Entries of one document share its text, its path-context string and
+    its vector object; treat them as read-only."""
 
     term: str
     documentation: str
@@ -297,9 +297,9 @@ def build_knowledge_base(
 ) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     """Fit the TF-IDF model and materialize one entry per (term, document).
 
-    The entries of a document share its text and one vector object. A
-    document yielding zero terms contributes no entries but still counts
-    toward the corpus statistics.
+    The entries of a document share its text, its path-context string and
+    one vector object. A document yielding zero terms contributes no entries
+    but still counts toward the corpus statistics.
     """
     model = fit_tfidf(docs)
     entries: list[KnowledgeEntry] = []
@@ -378,6 +378,7 @@ def _vector(vector: SparseVector, weights: dict[int, int]) -> tuple[tuple, tuple
     in the table ``weights`` (a weight's 64-bit pattern -> its place), which
     gains each weight not yet in it. The pattern tells ``0.0`` from
     ``-0.0``."""
+    _array(vector.entries, "a vector index")  # the sort cannot order mixed types
     pairs = sorted(vector.entries.items())
     column = _array([w for _, w in pairs], "a vector weight", "d")
     places = memoryview(column).cast("B").cast("Q")
@@ -537,8 +538,9 @@ def kb_from_json(
     text: str, source: str = "knowledge base"
 ) -> tuple[TfIdfModel, list[KnowledgeEntry]]:
     """Parse format-7 JSON (see :func:`kb_to_json`); the entries of one doc
-    share its text and vector object, the entries of one term share its
-    string, and the vectors share one float object per distinct weight.
+    share its text, path-context string and vector object, the entries of
+    one term share its string, and the vectors share one float object per
+    distinct weight.
 
     Raises :class:`MalformedKnowledgeBase`, naming ``source``, for text that
     is not a well-formed format-7 knowledge base, files of an older format
@@ -603,7 +605,6 @@ def _kb_from_payload(payload: JsonObject) -> tuple[TfIdfModel, list[KnowledgeEnt
         raise MalformedKnowledgeBase(
             f"'docs' has {len(indices)} indices but {len(weight_refs)} weight references"
         )
-    _positions(weight_refs, len(weights), "'docs' 'weight_refs'", "weights")
     if not all(map(math.isfinite, weights)):
         n, bad = next((n, w) for n, w in enumerate(weights) if not math.isfinite(w))
         raise fault(raw_docs.where, (*raw_docs.path, "weights", n), "a finite number", bad,
@@ -611,14 +612,16 @@ def _kb_from_payload(payload: JsonObject) -> tuple[TfIdfModel, list[KnowledgeEnt
     values = weights.tolist()  # one float object per distinct weight, shared by the vectors
     pairs = zip(indices, map(values.__getitem__, weight_refs))
     vectors: list[SparseVector] = []
-    for n, size in enumerate(sizes):
-        vector = dict(islice(pairs, size))
-        if len(vector) != size:
-            raise MalformedKnowledgeBase(f"'docs' 'indices' repeats an index in doc {n}")
-        vectors.append(SparseVector(vector))
+    try:  # a reference past the table is found by its lookup
+        for n, size in enumerate(sizes):
+            vector = dict(islice(pairs, size))
+            if len(vector) != size:
+                raise MalformedKnowledgeBase(f"'docs' 'indices' repeats an index in doc {n}")
+            vectors.append(SparseVector(vector))
+    except IndexError:
+        _positions(weight_refs, len(weights), "'docs' 'weight_refs'", "weights")
+        raise
     del pairs, indices, weights, weight_refs  # the columns are garbage once the vectors exist
-    _positions(term_refs, len(terms), "'entries' 'term_refs'", "terms")
-    _positions(run_docs, len(vectors), "'entries' 'run_docs'", "docs")
     if len(run_docs) != len(run_lengths):
         raise MalformedKnowledgeBase(
             f"'entries' has {len(run_docs)} run docs but {len(run_lengths)} run lengths"
@@ -628,16 +631,25 @@ def _kb_from_payload(payload: JsonObject) -> tuple[TfIdfModel, list[KnowledgeEnt
             f"'entries' 'run_lengths' add up to {sum(run_lengths)} "
             f"but there are {len(term_refs)} term references"
         )
-    refs = list(chain.from_iterable(map(repeat, run_docs, run_lengths)))  # each entry's doc
-    return model, list(
-        map(
-            KnowledgeEntry,
-            map(terms.__getitem__, term_refs),
-            map(texts.__getitem__, refs),
-            map(contexts.__getitem__, refs),
-            map(vectors.__getitem__, refs),
+
+    def per_entry(column):  # each entry's item of a per-doc column, run by run
+        return chain.from_iterable(map(repeat, map(column.__getitem__, run_docs), run_lengths))
+
+    try:  # a reference out of range is found by its lookup
+        entries = list(
+            map(
+                KnowledgeEntry,
+                map(terms.__getitem__, term_refs),
+                per_entry(texts),
+                per_entry(contexts),
+                per_entry(vectors),
+            )
         )
-    )
+    except IndexError:
+        _positions(term_refs, len(terms), "'entries' 'term_refs'", "terms")
+        _positions(run_docs, len(vectors), "'entries' 'run_docs'", "docs")
+        raise
+    return model, entries
 
 
 def save_knowledge_base(

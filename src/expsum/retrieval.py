@@ -146,17 +146,25 @@ def stage1_filter(
     """Keep entries with sufficient path-context overlap, preserving order.
 
     The query path is tokenized once per call and the overlap computed once
-    per distinct path context."""
+    per distinct path context. Consecutive entries of one doc share its
+    context object, so a run of them is decided once: an entry whose
+    context is the previous entry's object reuses its verdict. Equal
+    contexts held as distinct objects meet again in ``verdicts``, so the
+    result does not depend on that sharing."""
     query_tokens = _path_tokens(query.path)
     threshold = cfg.path_overlap_threshold
     verdicts: dict[str, bool] = {}
     kept: list[KnowledgeEntry] = []
+    last = keep = None
     for e in entries:
-        keep = verdicts.get(e.path_context)
-        if keep is None:
-            keep = verdicts[e.path_context] = (
-                _prefix_overlap(query_tokens, _context_tokens(e.path_context)) >= threshold
-            )
+        context = e.path_context
+        if context is not last:
+            last = context
+            keep = verdicts.get(context)
+            if keep is None:
+                keep = verdicts[context] = (
+                    _prefix_overlap(query_tokens, _context_tokens(context)) >= threshold
+                )
         if keep:
             kept.append(e)
     return kept

@@ -1,9 +1,18 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsum.errors import ParseFailure
-from expsum.frontends import TypeScriptLikeFrontend, harvest_annotations, lex
+from expsum.frontends import (
+    Token,
+    TypeScriptLikeFrontend,
+    _closer,
+    _closers,
+    harvest_annotations,
+    lex,
+)
 
 
 @pytest.fixture
@@ -223,3 +232,47 @@ def test_parse_raises_only_parse_failure(text):
         TypeScriptLikeFrontend().parse(text, "f.ts")
     except ParseFailure:
         pass
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(["(", ")", "[", "]", "{", "}", "<", ">", "x", ";"]), max_size=40))
+def test_closer_table_matches_closer_for_every_opener(texts):
+    """Unbalanced and mixed brackets included: ``(]`` closes by depth."""
+    tokens = [Token("punct", text, n) for n, text in enumerate(texts)]
+    table = _closers(tokens)
+    for i, text in enumerate(texts):
+        if text in "([{":
+            assert table.get(i) == _closer(tokens, i)
+    assert set(table) <= {i for i, text in enumerate(texts) if text in "([{"}
+
+
+# -- scaling ------------------------------------------------------------------
+
+
+def cpu_seconds(source: str) -> float:
+    """Least process CPU time of three parses of ``source``."""
+    times = []
+    for _ in range(3):
+        started = time.process_time()
+        try:
+            TypeScriptLikeFrontend().parse(source, "f.ts")
+        except ParseFailure:
+            pass
+        times.append(time.process_time() - started)
+    return min(times)
+
+
+def assignments(n: int) -> str:
+    return "function f() {\n" + "".join(f"this.a{i} = 1;\n" for i in range(n)) + "}\n"
+
+
+@pytest.mark.parametrize(
+    "make, small, large",
+    [(lambda n: "const a = (\n" * n, 1_000, 8_000), (assignments, 2_000, 16_000)],
+    ids=["unclosed-arrow-groups", "distinct-assignments"],
+)
+def test_parse_time_grows_linearly(make, small, large):
+    """8 times the input takes well under 8 squared times the CPU time;
+    a ratio on one host, not a wall-clock bound."""
+    ratio = cpu_seconds(make(large)) / cpu_seconds(make(small))
+    assert ratio < 12, ratio

@@ -313,6 +313,21 @@ class TestBuildKnowledgeBase:
         assert not any("Word: MEDIA\n" in c.user_prompt for c in client.calls)
         assert passes == docs
 
+    def test_entries_of_a_doc_share_its_path_context_object(self, shared_context_docs, tmp_path):
+        client = MockLlmClient(MockScript(default="preserved"))
+        kb = build_knowledge_base(shared_context_docs, client)
+        save_knowledge_base(tmp_path / "kb.json", *kb)
+        for _, entries in (kb, load_knowledge_base(tmp_path / "kb.json")):
+            runs = [[entries[0]]]
+            for e in entries[1:]:
+                if e.vector is runs[-1][-1].vector:  # the same doc
+                    runs[-1].append(e)
+                else:
+                    runs.append([e])
+            assert len(runs) < len(entries)
+            for run in runs:
+                assert all(e.path_context is run[0].path_context for e in run)
+
     def test_rebuild_is_byte_identical(self, three_doc_corpus):
         client = MockLlmClient(MockScript(default="preserved"))
         first = kb_to_json(*build_knowledge_base(three_doc_corpus, client))
@@ -537,13 +552,15 @@ class TestFormat4:
             (SparseVector({2**32: 1.0}), "a vector index is not an unsigned 32-bit integer"),
             (SparseVector({-1: 1.0}), "a vector index is not an unsigned 32-bit integer"),
             (SparseVector({0: 1.0, 1.5: 1.0}), "a vector index is not an unsigned 32-bit"),
+            (SparseVector({"a": 1.0}), "a vector index is not an unsigned 32-bit integer"),
+            (SparseVector({0: 1.0, "a": 1.0}), "a vector index is not an unsigned 32-bit integer"),
             (SparseVector({0: "x"}), "a vector weight is not a 64-bit float"),
             (SparseVector({0: 10**400}), "a vector weight is not a 64-bit float"),
             (SparseVector({0: 0.5, 1: math.nan}), "a vector weight is not finite (nan)"),
             (SparseVector({0: -math.inf}), "a vector weight is not finite (-inf)"),
         ],
-        ids=["u32-overflow", "negative", "float-index", "str-weight", "huge-int-weight",
-             "nan-weight", "inf-weight"],
+        ids=["u32-overflow", "negative", "float-index", "str-index", "mixed-index", "str-weight",
+             "huge-int-weight", "nan-weight", "inf-weight"],
     )
     def test_values_that_do_not_fit_raise_value_error(self, vector, expected):
         model = fit_tfidf([PackageDoc("a", "alpha beta")])

@@ -530,6 +530,37 @@ term_texts = st.text(st.sampled_from("abAB xyXY_0."), max_size=10)
 
 
 class TestHypothesisProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_stage1_matches_the_naive_filter_run_by_run(self, data):
+        """Runs of entries share one context object, or hold equal
+        contexts as distinct objects; a context may come back after
+        another (A, B, A); thresholds include each exact ``k / len(q)``."""
+        pool = data.draw(st.lists(path_texts, min_size=1, max_size=4))
+        runs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4), st.booleans()),
+                max_size=8,
+            )
+        )
+        entries = []
+        for index, length, distinct in runs:
+            context = "".join(list(pool[index])) if distinct else pool[index]
+            entries += [KnowledgeEntry("t", "d", context, SparseVector()) for _ in range(length)]
+        query_path = data.draw(
+            (path_texts | st.tuples(st.sampled_from(pool), path_texts).map("".join)).filter(bool)
+        )
+        q = oracle_path_tokens(query_path)
+        exact = st.integers(1, len(q)).map(lambda k: k / len(q)) if q else thresholds
+        threshold = data.draw(thresholds | exact)
+        expected = [
+            e for e in entries if oracle_path_overlap(query_path, e.path_context) >= threshold
+        ]
+        kept = stage1_filter(
+            QueryText("q", query_path), entries, RetrievalConfig(path_overlap_threshold=threshold)
+        )
+        assert list(map(id, kept)) == list(map(id, expected))
+
     @settings(max_examples=300)
     @given(st.lists(term_texts, max_size=8), thresholds)
     def test_stage3_dedup_is_an_order_preserving_subset(self, terms, threshold):
